@@ -39,9 +39,8 @@ func sameSelection(t *testing.T, label string, want, got *safe.Pipeline) {
 }
 
 // TestFitEquivalenceAcrossEntryPoints is the API-redesign pin: the
-// composable safe.Fit — in memory and sharded — selects identical features
-// in identical order to the deprecated Engineer.Fit and FitSharded shims,
-// for all three task families.
+// composable safe.Fit selects identical features in identical order on the
+// in-memory and the sharded engine, for all three task families.
 func TestFitEquivalenceAcrossEntryPoints(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range []struct {
@@ -55,31 +54,18 @@ func TestFitEquivalenceAcrossEntryPoints(t *testing.T) {
 		t.Run(tc.task.String(), func(t *testing.T) {
 			train := workload(t, tc.rows, tc.dim, tc.task)
 
-			// Reference: the deprecated Engineer path.
-			cfg := safe.DefaultConfig()
-			cfg.Task = tc.task
-			cfg.Seed = 1
-			eng, err := safe.New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, _, err := eng.Fit(train)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			// New API, in-memory engine.
+			// Reference: the in-memory engine.
 			res, err := safe.Fit(ctx, safe.FromFrame(train),
 				safe.WithTask(tc.task), safe.WithSeed(1))
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameSelection(t, "Fit(FromFrame)", want, res.Pipeline)
+			want := res.Pipeline
 			if res.Shard != nil {
 				t.Error("in-memory fit reported shard stats")
 			}
 
-			// New API, sharded engine over 4 partitions.
+			// The sharded engine over 4 partitions.
 			shRes, err := safe.Fit(ctx, safe.FromFrame(train),
 				safe.WithTask(tc.task), safe.WithSeed(1),
 				safe.WithSharding(tc.rows/4))
@@ -90,21 +76,12 @@ func TestFitEquivalenceAcrossEntryPoints(t *testing.T) {
 			if shRes.Shard == nil || shRes.Shard.Partitions != 4 {
 				t.Fatalf("shard stats: %+v, want 4 partitions", shRes.Shard)
 			}
-
-			// Deprecated FitSharded shim.
-			shardCfg := safe.DefaultShardConfig()
-			shardCfg.Core = cfg
-			shimP, _, _, err := safe.FitSharded(safe.NewFrameChunks(train, tc.rows/4), shardCfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameSelection(t, "FitSharded", want, shimP)
 		})
 	}
 }
 
 // TestFitEquivalence100k pins the acceptance workload: on the 100k×50
-// benchmark distribution the composable path matches the deprecated one
+// benchmark distribution the sharded engine matches the in-memory one
 // exactly for the binary task. Skipped under -short and -race like the
 // sharded engine's own 100k pin (the smaller always-on variant above covers
 // the same code).
@@ -116,27 +93,16 @@ func TestFitEquivalence100k(t *testing.T) {
 		t.Skip("100k×50 equivalence is minutes-long under the race detector")
 	}
 	train := workload(t, 100000, 50, safe.BinaryTask())
-	cfg := safe.DefaultConfig()
-	cfg.Seed = 1
-	eng, err := safe.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _, err := eng.Fit(train)
-	if err != nil {
-		t.Fatal(err)
-	}
 	res, err := safe.Fit(context.Background(), safe.FromFrame(train), safe.WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameSelection(t, "Fit 100k", want, res.Pipeline)
 	shRes, err := safe.Fit(context.Background(), safe.FromFrame(train),
 		safe.WithSeed(1), safe.WithSharding(25000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameSelection(t, "Fit sharded 100k", want, shRes.Pipeline)
+	sameSelection(t, "Fit sharded 100k", res.Pipeline, shRes.Pipeline)
 }
 
 // TestFitFromCSVFile: the CSV source fits through both engines and reaches
@@ -488,5 +454,34 @@ func TestFitValidationEarlyStopping(t *testing.T) {
 		if ir.ValidAUC == 0 {
 			t.Errorf("round %d has no validation score", ir.Round)
 		}
+	}
+}
+
+// TestFitOptionPatienceWithoutValidation: the same tolerance holds on the
+// Fit option path — a stray Patience ported through WithConfig must fit on
+// both engines (only the explicit WithEarlyStopping option demands
+// WithValidation).
+func TestFitOptionPatienceWithoutValidation(t *testing.T) {
+	ds, err := safe.GenerateDataset(safe.DatasetSpec{
+		Name: "pat-opt", Train: 800, Test: 100, Dim: 6, Interactions: 2, SignalScale: 2.5, Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := safe.DefaultConfig()
+	cfg.Patience = 2
+
+	ctx := context.Background()
+	if _, err := safe.Fit(ctx, safe.FromFrame(ds.Train), safe.WithConfig(cfg)); err != nil {
+		t.Fatalf("Fit (in-memory) with Patience>0 via WithConfig failed: %v", err)
+	}
+	// The sharded engine ignores Patience without a validation frame too —
+	// chunked sources route to it implicitly.
+	if _, err := safe.Fit(ctx, safe.FromChunks(safe.NewFrameChunks(ds.Train, 200)), safe.WithConfig(cfg)); err != nil {
+		t.Fatalf("Fit (sharded) with Patience>0 via WithConfig failed: %v", err)
+	}
+	// The explicit early-stopping option still demands a validation frame.
+	if _, err := safe.Fit(ctx, safe.FromFrame(ds.Train), safe.WithEarlyStopping(2, 0)); err == nil {
+		t.Fatal("WithEarlyStopping without WithValidation accepted")
 	}
 }

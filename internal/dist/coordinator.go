@@ -395,6 +395,9 @@ func (c *Coordinator) RunPass(ctx context.Context, spec *shard.PassSpec, fold fu
 			if m.PassID != passID {
 				continue // stale partial from an aborted pass
 			}
+			if m.Err != nil {
+				return res, fmt.Errorf("dist: worker %d: %w", ev.worker, m.Err)
+			}
 			if err := c.foldPartial(spec, &m.Partial, st, fold); err != nil {
 				return res, err
 			}

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/shard"
+	"repro/internal/sketch"
 )
 
 // Version is the protocol version exchanged in the hello handshake. Bump on
@@ -283,6 +284,18 @@ func (r *reader) bytes() []byte {
 		return nil
 	}
 	out := append([]byte(nil), r.b[:n]...)
+	r.b = r.b[n:]
+	return out
+}
+
+// view is bytes without the copy, for payloads decoded before the message
+// buffer can be reused.
+func (r *reader) view() []byte {
+	n := r.length()
+	if r.fail {
+		return nil
+	}
+	out := r.b[:n:n]
 	r.b = r.b[n:]
 	return out
 }
@@ -624,11 +637,20 @@ func decodeRunPass(p []byte) (*runPass, error) {
 
 // --- partial ---
 
+// partialMsg is one decoded partial frame. Err records sketch payloads
+// that failed to decode inside a well-formed frame: the worker computed
+// garbage, which aborts the fit instead of counting as a lost worker.
 type partialMsg struct {
 	PassID  int
 	Partial shard.Partial
+	Err     error
 }
 
+// encodePartial serializes a typed partial. The layout is part of the
+// protocol: labels; every sketch payload as a length-prefixed blob, in
+// field order (quantile/moments pairs, refiner gathers, criterion
+// histograms, the Gram partial — each pass kind sets one family); the int
+// slab; the code columns.
 func encodePartial(passID int, p *shard.Partial) []byte {
 	b := appendU8(nil, msgPartial)
 	b = appendI64(b, int64(passID))
@@ -636,15 +658,55 @@ func encodePartial(passID int, p *shard.Partial) []byte {
 	b = appendI64(b, int64(p.Start))
 	b = appendI64(b, int64(p.Rows))
 	b = appendF64s(b, p.Labels)
-	b = appendU32(b, uint32(len(p.Blobs)))
-	for _, blob := range p.Blobs {
-		b = appendBytes(b, blob)
+	n := 2*len(p.Sketches) + len(p.Gathers) + len(p.Hists)
+	if p.Gram != nil {
+		n++
+	}
+	b = appendU32(b, uint32(n))
+	for i, q := range p.Sketches {
+		b = appendSketch(b, q)
+		b = appendSketch(b, &p.Moments[i])
+	}
+	for _, g := range p.Gathers {
+		b = appendSketch(b, g)
+	}
+	for _, h := range p.Hists {
+		b = appendSketch(b, h)
+	}
+	if p.Gram != nil {
+		b = appendSketch(b, p.Gram)
 	}
 	b = appendI32s(b, p.Ints)
 	b = appendU32(b, uint32(len(p.Codes)))
 	for _, codes := range p.Codes {
 		b = appendBytes(b, codes)
 	}
+	return b
+}
+
+// appendSketch appends one sketch payload as a length-prefixed blob,
+// encoding it in place with the sketch wire codec and back-filling the
+// length.
+func appendSketch(b []byte, v any) []byte {
+	at := len(b)
+	b = appendU32(b, 0)
+	switch v := v.(type) {
+	case *sketch.Quantile:
+		b = sketch.AppendQuantile(b, v)
+	case *sketch.Moments:
+		b = sketch.AppendMoments(b, v)
+	case *sketch.Refiner:
+		b = sketch.AppendRefinerGather(b, v)
+	case *sketch.LabelHist:
+		b = sketch.AppendLabelHist(b, v)
+	case *sketch.ClassHist:
+		b = sketch.AppendClassHist(b, v)
+	case *sketch.MomentHist:
+		b = sketch.AppendMomentHist(b, v)
+	case *sketch.Gram:
+		b = sketch.AppendGram(b, v)
+	}
+	binary.LittleEndian.PutUint32(b[at:], uint32(len(b)-at-4))
 	return b
 }
 
@@ -655,10 +717,11 @@ func decodePartial(p []byte) (*partialMsg, error) {
 	m.Partial.Start = int(r.i64())
 	m.Partial.Rows = int(r.i64())
 	m.Partial.Labels = r.f64s()
+	var blobs [][]byte
 	if n := r.length(); !r.fail {
-		m.Partial.Blobs = make([][]byte, n)
-		for i := range m.Partial.Blobs {
-			m.Partial.Blobs[i] = r.bytes()
+		blobs = make([][]byte, n)
+		for i := range blobs {
+			blobs[i] = r.view()
 		}
 	}
 	m.Partial.Ints = r.i32s()
@@ -668,7 +731,48 @@ func decodePartial(p []byte) (*partialMsg, error) {
 			m.Partial.Codes[i] = r.bytes()
 		}
 	}
-	return m, r.done("partial")
+	if err := r.done("partial"); err != nil {
+		return nil, err
+	}
+	m.Err = decodeSketches(&m.Partial, blobs)
+	return m, nil
+}
+
+// decodeSketches decodes a partial's sketch payloads by their family tags
+// into its typed fields, in frame order. Quantile and moments payloads must
+// alternate, as encodePartial writes them.
+func decodeSketches(p *shard.Partial, blobs [][]byte) error {
+	for i, blob := range blobs {
+		v, rest, err := sketch.DecodeAny(blob)
+		if err == nil && len(rest) != 0 {
+			err = fmt.Errorf("%d trailing bytes", len(rest))
+		}
+		if err != nil {
+			return fmt.Errorf("dist: partial %d sketch %d: %w", p.Chunk, i, err)
+		}
+		paired := len(p.Sketches) == len(p.Moments)
+		switch v := v.(type) {
+		case *sketch.Quantile:
+			p.Sketches = append(p.Sketches, v)
+		case *sketch.Moments:
+			p.Moments = append(p.Moments, *v)
+			paired = !paired
+		case *sketch.Refiner:
+			p.Gathers = append(p.Gathers, v)
+		case *sketch.Gram:
+			paired = paired && p.Gram == nil
+			p.Gram = v
+		case sketch.CriterionHist:
+			p.Hists = append(p.Hists, v)
+		}
+		if !paired {
+			return fmt.Errorf("dist: partial %d sketch %d is out of order", p.Chunk, i)
+		}
+	}
+	if len(p.Sketches) != len(p.Moments) {
+		return fmt.Errorf("dist: partial %d has %d quantile and %d moments sketches", p.Chunk, len(p.Sketches), len(p.Moments))
+	}
+	return nil
 }
 
 // --- passDone / passErr ---

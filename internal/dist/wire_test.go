@@ -1,16 +1,19 @@
 package dist
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
 	"net"
+	"os"
 	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/shard"
+	"repro/internal/sketch"
 )
 
 // --- message codec round trips ---
@@ -165,22 +168,23 @@ func TestAssignmentHas(t *testing.T) {
 }
 
 func TestPartialRoundTrip(t *testing.T) {
-	in := &partialMsg{
-		PassID: 3,
-		Partial: shard.Partial{
-			Chunk: 2, Start: 1000, Rows: 500,
-			Labels: []float64{0, 1, 1, 0},
-			Blobs:  [][]byte{{1, 2, 3}, {0xFF}},
-			Ints:   []int32{7, -1, 42},
-			Codes:  [][]uint8{{0, 1, 2}, {3}},
-		},
-	}
-	out, err := decodePartial(encodePartial(in.PassID, &in.Partial))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(in, out) {
-		t.Fatalf("partial round trip:\n got %+v\nwant %+v", out, in)
+	// Every pass kind's golden frame decodes into a typed partial that
+	// encodes back to the identical bytes.
+	for _, gc := range goldenCases() {
+		want, err := os.ReadFile(goldenPath(gc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := decodePartial(want)
+		if err != nil || m.Err != nil {
+			t.Fatalf("%s: decode: %v / %v", gc.name, err, m.Err)
+		}
+		if m.PassID != int(gc.spec.Kind) || m.Partial.Chunk != 3 || m.Partial.Start != 480 || m.Partial.Rows != 96 {
+			t.Fatalf("%s: decoded header %d/%d/%d/%d", gc.name, m.PassID, m.Partial.Chunk, m.Partial.Start, m.Partial.Rows)
+		}
+		if got := encodePartial(m.PassID, &m.Partial); !bytes.Equal(got, want) {
+			t.Fatalf("%s: decode → encode changed the frame (%d bytes, want %d)", gc.name, len(got), len(want))
+		}
 	}
 }
 
@@ -239,8 +243,11 @@ func decodeAny(p []byte) error {
 // ProtocolError (never panic, never half-parse), and trailing garbage must
 // be rejected too.
 func TestDecodeRejectsTruncationAndTrailing(t *testing.T) {
+	q := sketch.NewQuantile(8)
+	q.AddAll([]float64{1, 2, 3})
 	p := &shard.Partial{Chunk: 1, Start: 0, Rows: 4, Labels: []float64{1, 0},
-		Blobs: [][]byte{{9}}, Ints: []int32{3}, Codes: [][]uint8{{1}}}
+		Sketches: []*sketch.Quantile{q}, Moments: make([]sketch.Moments, 1),
+		Ints: []int32{3}, Codes: [][]uint8{{1}}}
 	msgs := map[string][]byte{
 		"hello":    encodeHello(),
 		"helloAck": encodeHelloAck(),

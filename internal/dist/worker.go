@@ -195,7 +195,9 @@ func (s *session) handleRunPass(msg []byte) error {
 		if err != nil {
 			return s.conn.Send(encodePassErr(&passErr{PassID: m.PassID, Chunk: c.Index, Attempts: 1, Msg: err.Error()}))
 		}
-		if err := s.conn.Send(encodePartial(m.PassID, p)); err != nil {
+		err = s.conn.Send(encodePartial(m.PassID, p))
+		s.ws.Release(p)
+		if err != nil {
 			return err
 		}
 		done.Chunks++

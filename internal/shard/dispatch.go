@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"repro/internal/core"
@@ -11,20 +12,18 @@ import (
 	"repro/internal/stats"
 )
 
-// This file is the pass-execution seam the distributed fit dispatches
-// through. The multi-pass coordinator loop in shard.go/passes.go stays the
-// single source of truth for WHAT each streaming pass computes; when
-// Config.Exec is set, each pass is reified into a serializable PassSpec,
-// executed remotely chunk by chunk, and folded from Partial results in
-// partition-index order — the same fold sequence the local engine runs, so
-// selection stays bit-identical for any worker count or placement.
+// This file is the pass kernel: the one implementation of what every
+// streaming pass computes per chunk. The fit coordinator (passes.go)
+// reifies each pass into a serializable PassSpec and hands it to an
+// Executor together with the pass's fold; the executor streams the source,
+// runs WorkerState's kernel on every chunk, and feeds the resulting
+// Partials to the fold in partition-index order — so selection is
+// bit-identical for any executor, worker count or placement.
 //
-// WorkerState + ComputePartial are the worker half: given the schema, the
-// current live set (synced by SetLive epochs) and a PassSpec, they compute
-// one chunk's partial with the same kernels the local pass closures use —
-// evaluator node replay, SortNonNaN sketch ingestion, pre-encoded label
-// fast paths, and the regression bin-id protocol that keeps float sums in
-// global row order at the coordinator.
+// Two executors exist. The in-process one (runner.go) runs the kernel on
+// the internal/parallel pool over the local source; internal/dist's
+// Coordinator ships the spec to worker processes, which run the same
+// kernel (ComputePartial) and send the partials back over the wire.
 
 // PassKind identifies which streaming pass a PassSpec describes.
 type PassKind uint8
@@ -44,9 +43,9 @@ const (
 )
 
 // NodeSpec is one generated feature's definition, serializable by name: the
-// applier is reconstructed on the worker by resolving Op in the built-in
-// operator registry (valid because the sharded engine only admits
-// data-independent operators).
+// applier is reconstructed on the worker by resolving Op in the operator
+// registry (valid because the sharded engine only admits data-independent
+// operators).
 type NodeSpec struct {
 	Name   string
 	Inputs []string
@@ -89,8 +88,8 @@ type RefineSpec struct {
 	Resolved []bool
 }
 
-// PassSpec describes one streaming pass for remote execution. Exactly the
-// fields its Kind needs are set.
+// PassSpec describes one streaming pass. Exactly the fields its Kind needs
+// are set.
 type PassSpec struct {
 	Pass    int // 1-based pass ordinal within the fit, for error positioning
 	Kind    PassKind
@@ -104,48 +103,59 @@ type PassSpec struct {
 	Refines  []RefineSpec // PassRefine
 }
 
-// Partial is one chunk's computed contribution to a pass. The layout of
-// Blobs/Ints/Codes depends on the pass kind:
+// Partial is one chunk's computed contribution to a pass, as decoded
+// values. Which fields are set depends on the pass kind:
 //
-//	BaseSketch:     Labels = chunk labels; Blobs[2j], Blobs[2j+1] = quantile,
-//	                moments partial of source column j.
+//	BaseSketch:     Labels = chunk labels; Sketches[j], Moments[j] of source
+//	                column j.
 //	Codes:          Codes[i] = chunk codes of live feature i.
 //	ScoreBinary:    Ints = pos counts then total counts (off-layout slab).
 //	ScoreClasses:   Ints = K-class cell counts (off-layout slab).
 //	ScoreMomentIDs: Ints = cell id per (active combo, row).
-//	SketchGen:      Blobs[2i], Blobs[2i+1] = quantile, moments of Gens[i].
-//	Refine:         Blobs[i] = gather partial of Refines[i].
-//	HistCounts:     Blobs[i] = criterion histogram partial of Entries[i].
+//	SketchGen:      Sketches[i], Moments[i] of Gens[i].
+//	Refine:         Gathers[i] = gather partial of Refines[i].
+//	HistCounts:     Hists[i] = criterion histogram partial of Entries[i].
 //	HistIDs:        Ints = bin id per (entry, row).
-//	GramCodes:      Blobs[0] = Gram partial; Codes[i] = chunk ranker codes of
-//	                Entries[i] when its NeedCodes is set (nil otherwise).
+//	GramCodes:      Gram = co-moment partial; Codes[i] = chunk ranker codes
+//	                of Entries[i] when its NeedCodes is set (nil otherwise).
 //
-// All payloads are plain labels/bytes/int32s/codes, so the transport codec
-// is kind-agnostic; the coordinator-side folds decode Blobs through the
-// sketch wire codecs and validate counts before indexing.
+// The kernel draws sketches, Gram partials and int slabs from its arena;
+// the in-process executor returns them there once folded, so a local fit
+// recycles them without ever serializing. Only internal/dist encodes a
+// Partial, with the sketch wire codecs. Folds bounds-check every field
+// before indexing.
 type Partial struct {
-	Chunk  int
-	Start  int
-	Rows   int
-	Labels []float64
-	Blobs  [][]byte
-	Ints   []int32
-	Codes  [][]uint8
+	Chunk    int
+	Start    int
+	Rows     int
+	Labels   []float64
+	Sketches []*sketch.Quantile
+	Moments  []sketch.Moments
+	Gathers  []*sketch.Refiner
+	Hists    []sketch.CriterionHist
+	Gram     *sketch.Gram
+	Ints     []int32
+	Codes    [][]uint8
 }
 
-// PassResult summarises one remotely executed pass.
+// PassResult summarises one executed pass.
 type PassResult struct {
-	Rows    int
-	Parts   int
-	Retries int64 // transient faults absorbed below the fold during the pass
+	Rows    int // rows read and folded
+	Parts   int // partitions folded, including skipped ones
+	Retries int64
+	// BlocksSkipped and RowsSkipped count partitions proven irrelevant from
+	// block statistics and never read (their contribution was folded from
+	// the statistics instead).
+	BlocksSkipped int
+	RowsSkipped   int
 }
 
-// Executor runs streaming passes somewhere else — the seam between the fit
-// coordinator and the distributed transport. RunPass must invoke fold with
-// every partition's Partial exactly once, in ascending Chunk order, and must
-// not call fold concurrently. Implementations retry transient faults and
-// reassign partitions below the fold, so a recovered pass folds the same
-// sequence a fault-free one would.
+// Executor runs streaming passes — the seam between the fit coordinator and
+// where the chunks are read. RunPass must invoke fold with every
+// partition's Partial exactly once, in ascending partition order, and must
+// not call fold concurrently. Implementations retry transient faults below
+// the fold, so a recovered pass folds the same sequence a fault-free one
+// would.
 type Executor interface {
 	// Open announces the fit's schema and constants. Called once, before any
 	// pass.
@@ -158,38 +168,42 @@ type Executor interface {
 	RunPass(ctx context.Context, spec *PassSpec, fold func(*Partial) error) (PassResult, error)
 }
 
-// WorkerState is the worker half of the seam: per-fit state a pass executor
-// keeps between passes. It reuses the local engine's chunk kernels, so a
-// partial computed here is value-identical to what the local pass closure
-// would have produced for the same chunk.
+// WorkerState runs the pass kernel for one fit. It holds what every chunk
+// computation shares read-only: the schema, the live-set node program
+// (synced by SetLive epochs) and the current pass's program, which is
+// derived once per pass from its PassSpec. Per-goroutine scratch lives in a
+// kernelScratch; ComputePartial uses a built-in one, so a sequential caller
+// needs nothing else.
 type WorkerState struct {
 	names      []string
 	task       core.Task
 	sketchSize int
 	reg        *operators.Registry
+	arena      *sketch.Arena
+	appliers   map[string]operators.Applier
 
 	epoch int
-	ev    *evaluator
+	nodes []core.FeatureNode
+	live  []string
 
-	appliers map[string]operators.Applier
-	ix       stats.CutIndexer
-	srt      sketch.SortScratch
-	arena    *sketch.Arena
-	bits     []uint8
-	cls      []int32
-	buf      []float64
+	prog *passProgram
+	scr  kernelScratch
 }
 
-// NewWorkerState prepares worker-side fit state for the given schema.
+// NewWorkerState prepares worker-side fit state for the given schema,
+// resolving operators in the built-in registry.
 func NewWorkerState(names []string, task core.Task, sketchSize int) *WorkerState {
+	return newWorkerState(names, task, sketchSize, operators.NewRegistry(), sketch.NewArena())
+}
+
+func newWorkerState(names []string, task core.Task, sketchSize int, reg *operators.Registry, arena *sketch.Arena) *WorkerState {
 	return &WorkerState{
 		names:      names,
 		task:       task,
 		sketchSize: sketchSize,
-		reg:        operators.NewRegistry(),
+		reg:        reg,
+		arena:      arena,
 		appliers:   map[string]operators.Applier{},
-		arena:      sketch.NewArena(),
-		ev:         &evaluator{names: names, arena: sketch.NewArena()},
 	}
 }
 
@@ -217,7 +231,7 @@ func (ws *WorkerState) applier(op string, arity int) (operators.Applier, error) 
 }
 
 // SetLive installs a live-set epoch: the node program is rebuilt from the
-// specs (appliers by registry name) and the evaluator retargeted.
+// specs (appliers by registry name).
 func (ws *WorkerState) SetLive(epoch int, nodes []NodeSpec, live []string) error {
 	prog := make([]core.FeatureNode, len(nodes))
 	for i, nd := range nodes {
@@ -227,411 +241,540 @@ func (ws *WorkerState) SetLive(epoch int, nodes []NodeSpec, live []string) error
 		}
 		prog[i] = core.FeatureNode{Name: nd.Name, Inputs: nd.Inputs, Applier: ap}
 	}
-	ws.ev = &evaluator{names: ws.names, nodes: prog, live: live, arena: ws.ev.arena}
-	ws.epoch = epoch
+	ws.nodes, ws.live, ws.epoch, ws.prog = prog, live, epoch, nil
 	return nil
 }
 
-// Epoch returns the installed live-set epoch.
-func (ws *WorkerState) Epoch() int { return ws.epoch }
+// ComputePartial computes one chunk's contribution to the given pass. The
+// pass program is derived on the first chunk of a spec and reused for the
+// rest; the caller streams its assigned chunks through here and ships the
+// partials back for the ordered fold, then hands them to Release.
+func (ws *WorkerState) ComputePartial(spec *PassSpec, c *frame.Chunk) (*Partial, error) {
+	pg, err := ws.program(spec)
+	if err != nil {
+		return nil, err
+	}
+	return ws.compute(pg, c, &ws.scr)
+}
 
-// genCol computes one generated candidate column into dst (len rows),
-// applying the same post-generation sanitisation as every engine.
-func (ws *WorkerState) genCol(g GenSpec, cols [][]float64, dst []float64) error {
+// Release returns a partial's arena-backed values to the worker's arena
+// once the partial has been shipped.
+func (ws *WorkerState) Release(p *Partial) { recyclePartial(ws.arena, p) }
+
+// recyclePartial returns the arena-backed values of a folded or shipped
+// partial to a: sketches, the Gram partial and the int slab.
+func recyclePartial(a *sketch.Arena, p *Partial) {
+	for i, q := range p.Sketches {
+		a.PutQuantile(q)
+		p.Sketches[i] = nil
+	}
+	a.PutGram(p.Gram)
+	a.PutInt32s(p.Ints)
+	p.Gram, p.Ints = nil, nil
+}
+
+// genCol is one column of a pass program: a generated column's resolved
+// applier and live-set inputs, or (nil applier) the index of a base column
+// — a live column, or a source column for the refine pass.
+type genCol struct {
+	ap    operators.Applier
+	feats []int
+	base  int
+}
+
+// passProgram is one pass's setup, derived once from its PassSpec and read
+// concurrently by every chunk computation of the pass: resolved appliers,
+// combo cell grids and slab offsets, refiner shadow templates (sharing one
+// edge index), and criterion histogram templates.
+type passProgram struct {
+	spec     *PassSpec
+	needLive bool // the kernel evaluates the live columns
+
+	cols   []genCol               // SketchGen: Gens; Refine/Hist*/Gram: per entry
+	cells  []*core.ComboCells     // PassScore*
+	off    []int                  // PassScore*: per-combo slab offsets
+	refs   []*sketch.Refiner      // PassRefine: shadow templates
+	hists  []sketch.CriterionHist // PassHistCounts, PassHistIDs: templates
+	labels bool                   // the kernel reads chunk labels
+}
+
+// program returns the pass program for spec, deriving it when spec is new.
+// Validation against the schema and live set happens here, once per pass.
+func (ws *WorkerState) program(spec *PassSpec) (*passProgram, error) {
+	if ws.prog != nil && ws.prog.spec == spec {
+		return ws.prog, nil
+	}
+	if spec.Epoch != ws.epoch {
+		return nil, fmt.Errorf("shard: pass wants live epoch %d, worker has %d", spec.Epoch, ws.epoch)
+	}
+	pg := &passProgram{spec: spec, needLive: true}
+	var err error
+	switch spec.Kind {
+	case PassBaseSketch:
+		pg.needLive, pg.labels = false, true
+	case PassCodes:
+		if len(spec.LiveCuts) != len(ws.live) {
+			return nil, fmt.Errorf("shard: codes pass has %d cut sets for %d live", len(spec.LiveCuts), len(ws.live))
+		}
+	case PassScoreBinary, PassScoreClasses, PassScoreMomentIDs:
+		mult := 1
+		if spec.Kind == PassScoreClasses {
+			if spec.Classes < 2 {
+				return nil, fmt.Errorf("shard: class-score pass for %d classes", spec.Classes)
+			}
+			mult = spec.Classes
+		}
+		pg.labels = spec.Kind != PassScoreMomentIDs
+		pg.cells, pg.off, err = comboLayout(spec.Combos, mult, len(ws.live))
+	case PassSketchGen:
+		pg.cols = make([]genCol, len(spec.Gens))
+		for i, g := range spec.Gens {
+			if pg.cols[i], err = ws.resolveGen(g); err != nil {
+				return nil, err
+			}
+		}
+	case PassRefine:
+		pg.needLive = false
+		pg.cols = make([]genCol, len(spec.Refines))
+		pg.refs = make([]*sketch.Refiner, len(spec.Refines))
+		for i := range spec.Refines {
+			rf := &spec.Refines[i]
+			if rf.Col >= len(ws.names) {
+				return nil, fmt.Errorf("shard: refine column %d outside schema of %d", rf.Col, len(ws.names))
+			}
+			if n := len(rf.Ranks); len(rf.Lo) != n || len(rf.Hi) != n || len(rf.Resolved) != n {
+				return nil, fmt.Errorf("shard: refine target %d has mismatched bracket arrays", i)
+			}
+			if rf.Col >= 0 {
+				pg.cols[i] = genCol{base: rf.Col}
+			} else {
+				pg.needLive = true
+				if pg.cols[i], err = ws.resolveGen(rf.Gen); err != nil {
+					return nil, err
+				}
+			}
+			pg.refs[i] = sketch.NewShadowRefiner(rf.Ranks, rf.Lo, rf.Hi, rf.Resolved)
+		}
+	case PassHistCounts, PassHistIDs, PassGramCodes:
+		pg.labels = spec.Kind == PassHistCounts
+		pg.cols = make([]genCol, len(spec.Entries))
+		for i := range spec.Entries {
+			e := &spec.Entries[i]
+			if e.Base >= 0 {
+				if e.Base >= len(ws.live) {
+					return nil, fmt.Errorf("shard: entry base %d outside live set of %d", e.Base, len(ws.live))
+				}
+				pg.cols[i] = genCol{base: e.Base}
+			} else if pg.cols[i], err = ws.resolveGen(e.Gen); err != nil {
+				return nil, err
+			}
+		}
+		if spec.Kind != PassGramCodes {
+			pg.hists = make([]sketch.CriterionHist, len(spec.Entries))
+			for i := range spec.Entries {
+				pg.hists[i] = ws.newHist(spec.Kind, spec.Entries[i].Cuts)
+			}
+		}
+	default:
+		return nil, fmt.Errorf("shard: unknown pass kind %d", spec.Kind)
+	}
+	if err != nil {
+		return nil, err
+	}
+	ws.prog = pg
+	return pg, nil
+}
+
+// resolveGen resolves a generated column's applier and checks its inputs
+// against the live set.
+func (ws *WorkerState) resolveGen(g GenSpec) (genCol, error) {
 	ap, err := ws.applier(g.Op, len(g.Feats))
 	if err != nil {
-		return err
+		return genCol{}, err
 	}
-	var in [3][]float64
-	iv := in[:len(g.Feats)]
-	for k, fi := range g.Feats {
-		if fi < 0 || fi >= len(cols) {
-			return fmt.Errorf("shard: generated input %d outside live set of %d", fi, len(cols))
-		}
-		iv[k] = cols[fi]
-	}
-	operators.TransformColumn(ap, iv, dst)
-	core.Sanitize(dst)
-	return nil
-}
-
-// labelBits returns the chunk's labels thresholded to 0/1 bits — the same
-// pre-encoding the coordinator derives once from its gathered labels.
-func (ws *WorkerState) labelBits(labels []float64) []uint8 {
-	if cap(ws.bits) < len(labels) {
-		ws.bits = make([]uint8, len(labels))
-	}
-	bits := ws.bits[:len(labels)]
-	for i, y := range labels {
-		if y > 0.5 {
-			bits[i] = 1
-		} else {
-			bits[i] = 0
+	for _, fi := range g.Feats {
+		if fi < 0 || fi >= len(ws.live) {
+			return genCol{}, fmt.Errorf("shard: generated input %d outside live set of %d", fi, len(ws.live))
 		}
 	}
-	return bits
+	return genCol{ap: ap, feats: g.Feats}, nil
 }
 
-// labelCls returns the chunk's labels as class ids (-1 when out of range).
-func (ws *WorkerState) labelCls(labels []float64, k int) []int32 {
-	if cap(ws.cls) < len(labels) {
-		ws.cls = make([]int32, len(labels))
+// newHist builds a histogram template for an entry of a histogram pass: the
+// task's label-count family for count passes, the moment histogram (used
+// only for its bin ids) for the regression id pass.
+func (ws *WorkerState) newHist(kind PassKind, cuts []float64) sketch.CriterionHist {
+	switch {
+	case kind == PassHistIDs:
+		return sketch.NewMomentHist(cuts)
+	case ws.task.Kind == core.TaskMulticlass:
+		return sketch.NewClassHist(cuts, ws.task.Classes)
+	default:
+		return sketch.NewLabelHist(cuts)
 	}
-	cls := ws.cls[:len(labels)]
-	for i, y := range labels {
-		if c := int(y); c >= 0 && c < k {
-			cls[i] = int32(c)
-		} else {
-			cls[i] = -1
-		}
-	}
-	return cls
 }
 
-// chunkBuf returns reusable scratch of the given length.
-func (ws *WorkerState) chunkBuf(rows int) []float64 {
-	if cap(ws.buf) < rows {
-		ws.buf = make([]float64, rows)
-	}
-	return ws.buf[:rows]
-}
-
-// comboLayout rebuilds the cell grids and flat slab offsets of a score pass;
-// mult is the per-cell width multiplier (1 for binary totals, K for class
-// counts). Identical arithmetic on coordinator and worker keeps the slab
-// layouts aligned.
-func comboLayout(combos []ComboSpec, mult int) ([]*core.ComboCells, []int) {
+// comboLayout builds the cell grids and flat slab offsets of a score pass;
+// mult is the per-cell width multiplier (1 for binary totals and moment ids,
+// K for class counts). Combos whose grid degenerates to one cell get zero
+// width and score 0, as in-memory. The kernel and the coordinator's fold
+// both call it, which keeps the slab layouts aligned.
+func comboLayout(combos []ComboSpec, mult, live int) ([]*core.ComboCells, []int, error) {
 	cells := make([]*core.ComboCells, len(combos))
 	off := make([]int, len(combos)+1)
 	for i := range combos {
-		cells[i] = core.NewComboCells(&core.Combo{Features: combos[i].Features, Values: combos[i].Values})
+		c := &combos[i]
+		if len(c.Features) == 0 || len(c.Features) > 3 || len(c.Values) != len(c.Features) {
+			return nil, nil, fmt.Errorf("shard: combo %d has %d features and %d split sets", i, len(c.Features), len(c.Values))
+		}
+		for _, fi := range c.Features {
+			if fi < 0 || fi >= live {
+				return nil, nil, fmt.Errorf("shard: combo %d feature %d outside live set of %d", i, fi, live)
+			}
+		}
+		cells[i] = core.NewComboCells(&core.Combo{Features: c.Features, Values: c.Values})
 		width := 0
 		if nc := cells[i].NumCells(); nc > 1 {
 			width = nc * mult
 		}
 		off[i+1] = off[i] + width
 	}
-	return cells, off
+	return cells, off, nil
 }
 
-// ComputePartial computes one chunk's contribution to the given pass. The
-// chunk must satisfy the fit schema; the caller streams its assigned chunks
-// through here and ships the partials back for the ordered fold.
-func (ws *WorkerState) ComputePartial(spec *PassSpec, c *frame.Chunk) (*Partial, error) {
+// kernelScratch is one goroutine's reusable kernel scratch: the live-column
+// evaluator, cut indexer, sort scratch, label encodings and a column
+// buffer. Nothing in it outlives one chunk computation.
+type kernelScratch struct {
+	ev   evaluator
+	ix   stats.CutIndexer
+	srt  sketch.SortScratch
+	bits []uint8
+	cls  []int32
+	buf  []float64
+}
+
+// labelBits returns the chunk's labels thresholded to 0/1 bits.
+func (s *kernelScratch) labelBits(labels []float64) []uint8 {
+	if cap(s.bits) < len(labels) {
+		s.bits = make([]uint8, len(labels))
+	}
+	bits := s.bits[:len(labels)]
+	for i, y := range labels {
+		bits[i] = 0
+		if y > 0.5 {
+			bits[i] = 1
+		}
+	}
+	return bits
+}
+
+// labelCls returns the chunk's labels as class ids (-1 when out of range).
+func (s *kernelScratch) labelCls(labels []float64, k int) []int32 {
+	if cap(s.cls) < len(labels) {
+		s.cls = make([]int32, len(labels))
+	}
+	cls := s.cls[:len(labels)]
+	for i, y := range labels {
+		cls[i] = -1
+		if c := int(y); c >= 0 && c < k {
+			cls[i] = int32(c)
+		}
+	}
+	return cls
+}
+
+// column returns a reusable scratch column of the given length.
+func (s *kernelScratch) column(rows int) []float64 {
+	if cap(s.buf) < rows {
+		s.buf = make([]float64, rows)
+	}
+	return s.buf[:rows]
+}
+
+// eval computes a program column for the chunk: a base entry's live column,
+// or a generated column written into dst with the same post-generation
+// sanitisation as every engine.
+func (g *genCol) eval(cols [][]float64, dst []float64) []float64 {
+	if g.ap == nil {
+		return cols[g.base]
+	}
+	var in [3][]float64
+	iv := in[:len(g.feats)]
+	for k, fi := range g.feats {
+		iv[k] = cols[fi]
+	}
+	operators.TransformColumn(g.ap, iv, dst)
+	core.Sanitize(dst)
+	return dst
+}
+
+// sketchCol summarises one column into an arena quantile partial.
+func (ws *WorkerState) sketchCol(vals []float64, s *kernelScratch) *sketch.Quantile {
+	sorted, nan := sketch.SortNonNaN(vals, &s.srt)
+	q := ws.arena.Quantile(ws.sketchSize)
+	q.AddSortedScratch(sorted, nan, &s.srt)
+	return q
+}
+
+// compute runs the kernel of pg's pass on one chunk with the given scratch.
+// Safe for concurrent use with distinct scratches once pg is built.
+func (ws *WorkerState) compute(pg *passProgram, c *frame.Chunk, s *kernelScratch) (*Partial, error) {
+	rows := c.NumRows()
 	if len(c.Cols) != len(ws.names) {
 		return nil, fmt.Errorf("shard: chunk %d has %d columns, want %d", c.Index, len(c.Cols), len(ws.names))
 	}
-	if spec.Epoch != ws.epoch {
-		return nil, fmt.Errorf("shard: pass wants live epoch %d, worker has %d", spec.Epoch, ws.epoch)
+	if c.Label != nil && len(c.Label) != rows {
+		return nil, fmt.Errorf("shard: chunk %d label covers %d of %d rows", c.Index, len(c.Label), rows)
 	}
-	p := &Partial{Chunk: c.Index, Start: c.Start, Rows: c.NumRows()}
-	var err error
+	if pg.labels && c.Label == nil {
+		return nil, errors.New("shard: source has no label column")
+	}
+	p := &Partial{Chunk: c.Index, Start: c.Start, Rows: rows}
+	var cols [][]float64
+	if pg.needLive {
+		s.ev.names, s.ev.nodes, s.ev.live, s.ev.arena = ws.names, ws.nodes, ws.live, ws.arena
+		cols = s.ev.liveCols(c)
+		defer s.ev.release()
+	}
+	spec := pg.spec
 	switch spec.Kind {
 	case PassBaseSketch:
-		err = ws.computeBaseSketch(c, p)
+		p.Labels = append([]float64(nil), c.Label...)
+		p.Sketches = make([]*sketch.Quantile, len(c.Cols))
+		p.Moments = make([]sketch.Moments, len(c.Cols))
+		for j, col := range c.Cols {
+			p.Sketches[j] = ws.sketchCol(col, s)
+			p.Moments[j].AddAll(col)
+		}
 	case PassCodes:
-		err = ws.computeCodes(spec, c, p)
+		p.Codes = codeSlabs(len(spec.LiveCuts), rows)
+		for i, cuts := range spec.LiveCuts {
+			fillCodes(p.Codes[i], cols[i], cuts, &s.ix)
+		}
 	case PassScoreBinary:
-		err = ws.computeScoreBinary(spec, c, p)
+		total := pg.off[len(pg.cells)]
+		p.Ints = ws.arena.Int32sZeroed(2 * total)
+		bits := s.labelBits(c.Label)
+		pg.eachCell(cols, rows, func(ci, r, id int) {
+			p.Ints[total+pg.off[ci]+id]++
+			p.Ints[pg.off[ci]+id] += int32(bits[r]) // branchless: bit = label > 0.5
+		})
 	case PassScoreClasses:
-		err = ws.computeScoreClasses(spec, c, p)
+		k := spec.Classes
+		p.Ints = ws.arena.Int32sZeroed(pg.off[len(pg.cells)])
+		cls := s.labelCls(c.Label, k)
+		pg.eachCell(cols, rows, func(ci, r, id int) {
+			if cl := cls[r]; cl >= 0 {
+				p.Ints[pg.off[ci]+id*k+int(cl)]++
+			}
+		})
 	case PassScoreMomentIDs:
-		err = ws.computeScoreMomentIDs(spec, c, p)
+		active := 0
+		for ci := range pg.cells {
+			if pg.off[ci+1] > pg.off[ci] {
+				active++
+			}
+		}
+		p.Ints = ws.arena.Int32s(active * rows)
+		slot, last := -1, -1
+		pg.eachCell(cols, rows, func(ci, r, id int) {
+			if ci != last {
+				slot, last = slot+1, ci
+			}
+			p.Ints[slot*rows+r] = int32(id)
+		})
 	case PassSketchGen:
-		err = ws.computeSketchGen(spec, c, p)
+		buf := s.column(rows)
+		p.Sketches = make([]*sketch.Quantile, len(pg.cols))
+		p.Moments = make([]sketch.Moments, len(pg.cols))
+		for i := range pg.cols {
+			col := pg.cols[i].eval(cols, buf)
+			p.Sketches[i] = ws.sketchCol(col, s)
+			p.Moments[i].AddAll(col)
+		}
 	case PassRefine:
-		err = ws.computeRefine(spec, c, p)
+		p.Gathers = make([]*sketch.Refiner, len(pg.refs))
+		for i, tmpl := range pg.refs {
+			var vals []float64
+			if g := &pg.cols[i]; g.ap != nil {
+				vals = g.eval(cols, s.column(rows))
+			} else {
+				vals = c.Cols[g.base]
+			}
+			// Per-value streaming beats sort+AddSorted here: the shared edge
+			// index classifies each value in O(1), and finalize sorts the few
+			// gathered in-bracket values, so the result is bit-identical.
+			sh := tmpl.Shadow()
+			sh.AddChunk(vals)
+			p.Gathers[i] = sh
+		}
 	case PassHistCounts:
-		err = ws.computeHistCounts(spec, c, p)
+		buf := s.column(rows)
+		var bits []uint8
+		var cls []int32
+		if ws.task.Kind == core.TaskMulticlass {
+			cls = s.labelCls(c.Label, ws.task.Classes)
+		} else {
+			bits = s.labelBits(c.Label)
+		}
+		p.Hists = make([]sketch.CriterionHist, len(pg.hists))
+		for i, tmpl := range pg.hists {
+			col := pg.cols[i].eval(cols, buf)
+			// The pre-encoded label paths count the same integers as AddCol
+			// without re-deriving the label per value per candidate.
+			switch h := tmpl.(type) {
+			case *sketch.ClassHist:
+				sh := h.Shadow()
+				sh.AddColCls(col, cls)
+				p.Hists[i] = sh
+			case *sketch.LabelHist:
+				sh := h.Shadow()
+				sh.AddColBits(col, bits)
+				p.Hists[i] = sh
+			}
+		}
 	case PassHistIDs:
-		err = ws.computeHistIDs(spec, c, p)
+		buf := s.column(rows)
+		p.Ints = ws.arena.Int32s(len(pg.hists) * rows)
+		for i, tmpl := range pg.hists {
+			tmpl.(*sketch.MomentHist).BinIDs(pg.cols[i].eval(cols, buf), p.Ints[i*rows:(i+1)*rows])
+		}
 	case PassGramCodes:
-		err = ws.computeGramCodes(spec, c, p)
-	default:
-		err = fmt.Errorf("shard: unknown pass kind %d", spec.Kind)
-	}
-	if err != nil {
-		return nil, err
+		mat := make([][]float64, len(pg.cols))
+		var owned [][]float64
+		for i := range pg.cols {
+			var dst []float64
+			if pg.cols[i].ap != nil {
+				dst = ws.arena.Floats(rows)
+				owned = append(owned, dst)
+			}
+			mat[i] = pg.cols[i].eval(cols, dst)
+		}
+		need := 0
+		for i := range spec.Entries {
+			if spec.Entries[i].NeedCodes {
+				need++
+			}
+		}
+		slabs := codeSlabs(need, rows)
+		p.Codes = make([][]uint8, len(spec.Entries))
+		for i := range spec.Entries {
+			if e := &spec.Entries[i]; e.NeedCodes {
+				p.Codes[i], slabs = slabs[0], slabs[1:]
+				fillCodes(p.Codes[i], mat[i], e.Cuts, &s.ix)
+			}
+		}
+		p.Gram = ws.arena.Gram(len(mat))
+		p.Gram.AddRows(rows)
+		p.Gram.AddPrepared(mat, sketch.PrepChunk(mat), 0, len(mat))
+		for _, b := range owned {
+			ws.arena.PutFloats(b)
+		}
 	}
 	return p, nil
 }
 
-func (ws *WorkerState) computeBaseSketch(c *frame.Chunk, p *Partial) error {
-	if c.Label == nil {
-		return fmt.Errorf("shard: source has no label column")
-	}
-	p.Labels = append([]float64(nil), c.Label...)
-	m := len(ws.names)
-	p.Blobs = make([][]byte, 2*m)
-	for j := 0; j < m; j++ {
-		sorted, nan := sketch.SortNonNaN(c.Cols[j], &ws.srt)
-		part := ws.arena.Quantile(ws.sketchSize)
-		part.AddSortedScratch(sorted, nan, &ws.srt)
-		p.Blobs[2*j] = sketch.AppendQuantile(nil, part)
-		ws.arena.PutQuantile(part)
-		var mom sketch.Moments
-		mom.AddAll(c.Cols[j])
-		p.Blobs[2*j+1] = sketch.AppendMoments(nil, &mom)
-	}
-	return nil
-}
-
-func (ws *WorkerState) computeCodes(spec *PassSpec, c *frame.Chunk, p *Partial) error {
-	if len(spec.LiveCuts) != len(ws.ev.live) {
-		return fmt.Errorf("shard: codes pass has %d cut sets for %d live", len(spec.LiveCuts), len(ws.ev.live))
-	}
-	cols := ws.ev.liveCols(c)
-	rows := c.NumRows()
-	p.Codes = make([][]uint8, len(spec.LiveCuts))
-	for i, cuts := range spec.LiveCuts {
-		p.Codes[i] = make([]uint8, rows)
-		fillCodes(p.Codes[i], cols[i], cuts, &ws.ix)
-	}
-	ws.ev.release()
-	return nil
-}
-
-func (ws *WorkerState) computeScoreBinary(spec *PassSpec, c *frame.Chunk, p *Partial) error {
-	cells, off := comboLayout(spec.Combos, 1)
-	total := off[len(spec.Combos)]
-	cols := ws.ev.liveCols(c)
-	rows := c.NumRows()
-	bits := ws.labelBits(c.Label)
-	slab := make([]int32, 2*total)
+// eachCell maps every row of the chunk to its cell in every active combo
+// (combo-major, rows ascending) and calls visit(combo, row, cell).
+func (pg *passProgram) eachCell(cols [][]float64, rows int, visit func(ci, r, id int)) {
 	var vals [3]float64
-	for ci := range spec.Combos {
-		if off[ci+1] == off[ci] {
+	for ci, cc := range pg.cells {
+		if pg.off[ci+1] == pg.off[ci] {
 			continue
 		}
-		cc := cells[ci]
 		feats := cc.Features()
-		ppos := slab[off[ci]:off[ci+1]]
-		ptot := slab[total+off[ci] : total+off[ci+1]]
 		for r := 0; r < rows; r++ {
 			for k, fi := range feats {
 				vals[k] = cols[fi][r]
 			}
-			id := cc.CellOf(vals[:len(feats)])
-			ptot[id]++
-			ppos[id] += int32(bits[r])
+			visit(ci, r, cc.CellOf(vals[:len(feats)]))
 		}
 	}
-	ws.ev.release()
-	p.Ints = slab
-	return nil
 }
 
-func (ws *WorkerState) computeScoreClasses(spec *PassSpec, c *frame.Chunk, p *Partial) error {
-	k := spec.Classes
-	cells, off := comboLayout(spec.Combos, k)
-	total := off[len(spec.Combos)]
-	cols := ws.ev.liveCols(c)
+// codeSlabs returns n code columns of the given length backed by one
+// allocation.
+func codeSlabs(n, rows int) [][]uint8 {
+	backing := make([]uint8, n*rows)
+	out := make([][]uint8, n)
+	for i := range out {
+		out[i] = backing[i*rows : (i+1)*rows : (i+1)*rows]
+	}
+	return out
+}
+
+// evaluator materialises the current live feature columns for one chunk:
+// originals are zero-copy views of the chunk; derived features replay their
+// pipeline nodes (in dependency order) with the same post-generation
+// sanitisation the in-memory fit applies to candidate columns. Each
+// kernelScratch owns one evaluator, pointed at the current node program per
+// chunk; derived-column buffers recycle through the kernel's arena.
+type evaluator struct {
+	names []string
+	nodes []core.FeatureNode
+	live  []string // live feature names, original or node
+	arena *sketch.Arena
+
+	vals  map[string][]float64
+	out   [][]float64
+	owned [][]float64 // arena buffers to return on release
+}
+
+// liveCols returns the live columns for a chunk, in live order. The result
+// (and any derived columns behind it) is valid until release.
+func (e *evaluator) liveCols(c *frame.Chunk) [][]float64 {
+	if e.vals == nil {
+		e.vals = make(map[string][]float64, len(e.names)+len(e.nodes))
+	}
+	for j, name := range e.names {
+		e.vals[name] = c.Cols[j]
+	}
 	rows := c.NumRows()
-	cls := ws.labelCls(c.Label, k)
-	slab := make([]int32, total)
-	var vals [3]float64
-	for ci := range spec.Combos {
-		if off[ci+1] == off[ci] {
+	for i := range e.nodes {
+		nd := &e.nodes[i]
+		in := make([][]float64, len(nd.Inputs))
+		for k, dep := range nd.Inputs {
+			in[k] = e.vals[dep]
+		}
+		out := e.arena.Floats(rows)
+		e.owned = append(e.owned, out)
+		operators.TransformColumn(nd.Applier, in, out)
+		core.Sanitize(out)
+		e.vals[nd.Name] = out
+	}
+	if cap(e.out) < len(e.live) {
+		e.out = make([][]float64, len(e.live))
+	}
+	out := e.out[:len(e.live)]
+	for i, name := range e.live {
+		out[i] = e.vals[name]
+	}
+	return out
+}
+
+// release returns the evaluator's derived-column buffers to the arena and
+// drops references into the chunk, which may be recycled right after.
+func (e *evaluator) release() {
+	for i, b := range e.owned {
+		e.arena.PutFloats(b)
+		e.owned[i] = nil
+	}
+	e.owned = e.owned[:0]
+	for k := range e.vals {
+		delete(e.vals, k)
+	}
+}
+
+// fillCodes bins one column slice into GBDT codes: 0 for NaN, 1+bin
+// otherwise — the binner encoding gbdt.TrainBinned expects.
+func fillCodes(dst []uint8, vals, cuts []float64, ix *stats.CutIndexer) {
+	ix.Reset(cuts)
+	for i, v := range vals {
+		if v != v { // NaN
+			dst[i] = 0
 			continue
 		}
-		cc := cells[ci]
-		feats := cc.Features()
-		pcnt := slab[off[ci]:off[ci+1]]
-		for r := 0; r < rows; r++ {
-			for j, fi := range feats {
-				vals[j] = cols[fi][r]
-			}
-			id := cc.CellOf(vals[:len(feats)])
-			if cl := cls[r]; cl >= 0 {
-				pcnt[id*k+int(cl)]++
-			}
-		}
+		dst[i] = uint8(1 + ix.Find(v))
 	}
-	ws.ev.release()
-	p.Ints = slab
-	return nil
-}
-
-func (ws *WorkerState) computeScoreMomentIDs(spec *PassSpec, c *frame.Chunk, p *Partial) error {
-	cells, off := comboLayout(spec.Combos, 1)
-	cols := ws.ev.liveCols(c)
-	rows := c.NumRows()
-	nActive := 0
-	for ci := range spec.Combos {
-		if off[ci+1] > off[ci] {
-			nActive++
-		}
-	}
-	slab := make([]int32, nActive*rows)
-	var vals [3]float64
-	pos := 0
-	for ci := range spec.Combos {
-		if off[ci+1] == off[ci] {
-			continue
-		}
-		cc := cells[ci]
-		feats := cc.Features()
-		ids := slab[pos : pos+rows]
-		pos += rows
-		for r := 0; r < rows; r++ {
-			for j, fi := range feats {
-				vals[j] = cols[fi][r]
-			}
-			ids[r] = int32(cc.CellOf(vals[:len(feats)]))
-		}
-	}
-	ws.ev.release()
-	p.Ints = slab
-	return nil
-}
-
-func (ws *WorkerState) computeSketchGen(spec *PassSpec, c *frame.Chunk, p *Partial) error {
-	cols := ws.ev.liveCols(c)
-	rows := c.NumRows()
-	buf := ws.chunkBuf(rows)
-	p.Blobs = make([][]byte, 2*len(spec.Gens))
-	for i, g := range spec.Gens {
-		if err := ws.genCol(g, cols, buf); err != nil {
-			return err
-		}
-		sorted, nan := sketch.SortNonNaN(buf, &ws.srt)
-		part := ws.arena.Quantile(ws.sketchSize)
-		part.AddSortedScratch(sorted, nan, &ws.srt)
-		p.Blobs[2*i] = sketch.AppendQuantile(nil, part)
-		ws.arena.PutQuantile(part)
-		var mom sketch.Moments
-		mom.AddAll(buf)
-		p.Blobs[2*i+1] = sketch.AppendMoments(nil, &mom)
-	}
-	ws.ev.release()
-	return nil
-}
-
-func (ws *WorkerState) computeRefine(spec *PassSpec, c *frame.Chunk, p *Partial) error {
-	rows := c.NumRows()
-	var cols [][]float64
-	var buf []float64
-	p.Blobs = make([][]byte, len(spec.Refines))
-	for i, rf := range spec.Refines {
-		var vals []float64
-		if rf.Col >= 0 {
-			if rf.Col >= len(c.Cols) {
-				return fmt.Errorf("shard: refine column %d outside schema of %d", rf.Col, len(c.Cols))
-			}
-			vals = c.Cols[rf.Col]
-		} else {
-			if cols == nil {
-				cols = ws.ev.liveCols(c)
-				buf = ws.chunkBuf(rows)
-			}
-			if err := ws.genCol(rf.Gen, cols, buf); err != nil {
-				return err
-			}
-			vals = buf
-		}
-		sh := sketch.NewShadowRefiner(rf.Ranks, rf.Lo, rf.Hi, rf.Resolved)
-		sh.AddChunk(vals)
-		p.Blobs[i] = sketch.AppendRefinerGather(nil, sh)
-	}
-	if cols != nil {
-		ws.ev.release()
-	}
-	return nil
-}
-
-// entryCol resolves one histogram/Gram entry's column for the chunk.
-func (ws *WorkerState) entryCol(e *EntrySpec, cols [][]float64, buf []float64) ([]float64, error) {
-	if e.Base >= 0 {
-		if e.Base >= len(cols) {
-			return nil, fmt.Errorf("shard: entry base %d outside live set of %d", e.Base, len(cols))
-		}
-		return cols[e.Base], nil
-	}
-	if err := ws.genCol(e.Gen, cols, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
-func (ws *WorkerState) computeHistCounts(spec *PassSpec, c *frame.Chunk, p *Partial) error {
-	cols := ws.ev.liveCols(c)
-	rows := c.NumRows()
-	buf := ws.chunkBuf(rows)
-	multi := ws.task.Kind == core.TaskMulticlass
-	var bits []uint8
-	var cls []int32
-	if multi {
-		cls = ws.labelCls(c.Label, ws.task.Classes)
-	} else {
-		bits = ws.labelBits(c.Label)
-	}
-	p.Blobs = make([][]byte, len(spec.Entries))
-	for i := range spec.Entries {
-		col, err := ws.entryCol(&spec.Entries[i], cols, buf)
-		if err != nil {
-			return err
-		}
-		if multi {
-			h := sketch.NewClassHist(spec.Entries[i].Cuts, ws.task.Classes)
-			h.AddColCls(col, cls)
-			p.Blobs[i] = sketch.AppendClassHist(nil, h)
-		} else {
-			h := sketch.NewLabelHist(spec.Entries[i].Cuts)
-			h.AddColBits(col, bits)
-			p.Blobs[i] = sketch.AppendLabelHist(nil, h)
-		}
-	}
-	ws.ev.release()
-	return nil
-}
-
-func (ws *WorkerState) computeHistIDs(spec *PassSpec, c *frame.Chunk, p *Partial) error {
-	cols := ws.ev.liveCols(c)
-	rows := c.NumRows()
-	buf := ws.chunkBuf(rows)
-	slab := make([]int32, len(spec.Entries)*rows)
-	for i := range spec.Entries {
-		col, err := ws.entryCol(&spec.Entries[i], cols, buf)
-		if err != nil {
-			return err
-		}
-		h := sketch.NewMomentHist(spec.Entries[i].Cuts)
-		h.BinIDs(col, slab[i*rows:(i+1)*rows])
-	}
-	ws.ev.release()
-	p.Ints = slab
-	return nil
-}
-
-func (ws *WorkerState) computeGramCodes(spec *PassSpec, c *frame.Chunk, p *Partial) error {
-	cols := ws.ev.liveCols(c)
-	rows := c.NumRows()
-	mat := make([][]float64, len(spec.Entries))
-	p.Codes = make([][]uint8, len(spec.Entries))
-	for i := range spec.Entries {
-		e := &spec.Entries[i]
-		var col []float64
-		if e.Base >= 0 {
-			if e.Base >= len(cols) {
-				return fmt.Errorf("shard: entry base %d outside live set of %d", e.Base, len(cols))
-			}
-			col = cols[e.Base]
-		} else {
-			col = make([]float64, rows)
-			if err := ws.genCol(e.Gen, cols, col); err != nil {
-				return err
-			}
-		}
-		mat[i] = col
-		if e.NeedCodes {
-			p.Codes[i] = make([]uint8, rows)
-			fillCodes(p.Codes[i], col, e.Cuts, &ws.ix)
-		}
-	}
-	g := sketch.NewGram(len(spec.Entries))
-	g.AddRows(rows)
-	g.AddPrepared(mat, sketch.PrepChunk(mat), 0, len(spec.Entries))
-	ws.ev.release()
-	p.Blobs = [][]byte{sketch.AppendGram(nil, g)}
-	return nil
 }

@@ -4,14 +4,26 @@
 // with a mergeable sketch (internal/sketch) accumulated per partition and
 // merged by the coordinator.
 //
-// The engine makes a small number of streaming passes per iteration:
+// The engine makes a small number of streaming passes, one PassKind each:
 //
-//  1. live stats    — per-feature quantile sketches + moments (first round)
-//  2. live codes    — bin the live features into resident uint8 codes
-//  3. combo scoring — per-combination label-count contingency tables
-//  4. candidate sketches — quantile sketches + moments of generated columns
-//  5. candidate counts   — binned label histograms → Information Values
-//  6. redundancy    — pairwise co-moments (Gram) of IV survivors + codes
+//   - PassBaseSketch     — labels + per-feature quantile sketches and
+//     moments (once, before the first round)
+//   - PassRefine         — exact-cut gathers inside the sketches' rank
+//     brackets (live features once, generated candidates per round;
+//     skipped in approx mode or when no bracket is open)
+//   - PassCodes          — bin the live features into resident uint8 codes
+//   - PassScoreBinary, PassScoreClasses, PassScoreMomentIDs — per-combination
+//     contingency tables: binary counts, K-class counts, or regression
+//     cell ids replayed against the targets in row order
+//   - PassSketchGen      — quantile sketches + moments of generated columns
+//   - PassHistCounts, PassHistIDs — criterion histograms of every candidate
+//     (binary/multiclass label counts, or regression bin ids)
+//   - PassGramCodes      — pairwise co-moments (Gram) of IV survivors +
+//     their resident ranker codes
+//
+// Each pass has one kernel (WorkerState, dispatch.go) and one fold
+// (passes.go), connected by an Executor: the in-process one (runner.go)
+// unless Config.Exec names another, such as internal/dist's coordinator.
 //
 // Everything the XGBoost miner and ranker consume is the resident binned
 // matrix (1 byte per value, ~8× smaller than raw float64 columns) plus the

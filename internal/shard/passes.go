@@ -1,35 +1,71 @@
 package shard
 
 import (
+	"fmt"
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/frame"
 	"repro/internal/operators"
 	"repro/internal/sketch"
 	"repro/internal/stats"
 )
 
-// evaluator materialises the current live feature columns for one chunk:
-// originals are zero-copy views of the chunk; derived features replay their
-// pipeline nodes (in dependency order) with the same post-generation
-// sanitisation the in-memory fit applies to candidate columns. Each pass
-// worker owns one evaluator; its scratch (the name map, derived-column
-// buffers) recycles across chunks through the fitter's arena.
-type evaluator struct {
-	names []string
-	nodes []core.FeatureNode
-	live  []string // live feature names, original or node
-	arena *sketch.Arena
+// This file is the coordinator side of every streaming pass: each pass
+// method reifies the pass into a PassSpec, runs it through the fit's
+// Executor, and folds the returned Partials. RunPass delivers partials in
+// ascending partition order and never concurrently, so the merged
+// statistics accumulate in the same sequence for every executor and worker
+// count — selection stays bit-identical to the in-memory engine.
+//
+// Every fold bounds-checks the partial before indexing: a worker that
+// speaks the right protocol but computes the wrong shape aborts the fit
+// with an error instead of corrupting statistics.
 
-	vals  map[string][]float64
-	out   [][]float64
-	owned [][]float64 // arena buffers to return on release
+// runPass executes one pass through the executor, threading the pass
+// ordinal and the live epoch, and folds the pass's bookkeeping into the fit
+// statistics.
+func (f *fitter) runPass(spec *PassSpec, fold func(*Partial) error) error {
+	f.stats.Passes++
+	spec.Pass = f.stats.Passes
+	spec.Epoch = f.liveEpoch
+	res, err := f.exec.RunPass(f.ctx, spec, fold)
+	if err != nil {
+		return err
+	}
+	return f.finishPass(res)
+}
+
+// finishPass folds one completed pass into the fit statistics, validating
+// that the source yields a stable shape across passes (skipped rows count
+// toward the shape, not toward RowsStreamed).
+func (f *fitter) finishPass(res PassResult) error {
+	f.stats.RowsStreamed += int64(res.Rows)
+	f.stats.Retries += res.Retries
+	f.stats.BlocksSkipped += int64(res.BlocksSkipped)
+	f.stats.RowsSkipped += int64(res.RowsSkipped)
+	rows := res.Rows + res.RowsSkipped
+	if f.n == 0 {
+		f.n, f.stats.Rows, f.stats.Partitions = rows, rows, res.Parts
+		return nil
+	}
+	if rows != f.n {
+		return fmt.Errorf("shard: source yielded %d rows on a later pass, want %d (unstable source)", rows, f.n)
+	}
+	return nil
+}
+
+// checkPartial validates that a partial's row span lies inside the
+// gathered label span, for folds that index per-row state.
+func (f *fitter) checkPartial(p *Partial, what string) error {
+	if p.Rows < 0 || p.Start < 0 || p.Start+p.Rows > f.n {
+		return fmt.Errorf("shard: %s partial %d spans rows [%d,%d) of %d", what, p.Chunk, p.Start, p.Start+p.Rows, f.n)
+	}
+	return nil
 }
 
 // neededNodes selects, from every node generated so far, the dependency-
-// ordered subset the current live set needs — the node program an evaluator
-// (local or on a distributed worker) replays per chunk.
+// ordered subset the current live set needs — the node program the kernel
+// replays per chunk.
 func (f *fitter) neededNodes() []core.FeatureNode {
 	needed := make(map[string]bool, len(f.live))
 	for _, lf := range f.live {
@@ -55,404 +91,240 @@ func (f *fitter) neededNodes() []core.FeatureNode {
 	return out
 }
 
-// newEvaluator builds a pass worker's evaluator over the current live set.
-func (f *fitter) newEvaluator() *evaluator {
-	ev := &evaluator{names: f.names, nodes: f.neededNodes(), arena: f.arena}
-	ev.live = make([]string, len(f.live))
-	for i, lf := range f.live {
-		ev.live[i] = lf.name
-	}
-	return ev
-}
-
-// liveCols returns the live columns for a chunk, in live order. The result
-// (and any derived columns behind it) is valid until release.
-func (e *evaluator) liveCols(c *frame.Chunk) [][]float64 {
-	if e.vals == nil {
-		e.vals = make(map[string][]float64, len(e.names)+len(e.nodes))
-	}
-	for j, name := range e.names {
-		e.vals[name] = c.Cols[j]
-	}
-	rows := c.NumRows()
-	for i := range e.nodes {
-		nd := &e.nodes[i]
-		in := make([][]float64, len(nd.Inputs))
-		for k, dep := range nd.Inputs {
-			in[k] = e.vals[dep]
+// syncLive pushes the current live set to the executor as a new epoch: the
+// dependency-ordered node program (by operator registry name) plus the live
+// feature names.
+func (f *fitter) syncLive() error {
+	nodes := f.neededNodes()
+	specs := make([]NodeSpec, len(nodes))
+	for i := range nodes {
+		op, ok := operators.ApplierOp(nodes[i].Applier)
+		if !ok {
+			return fmt.Errorf("shard: node %q has a non-registry applier", nodes[i].Name)
 		}
-		out := e.arena.Floats(rows)
-		e.owned = append(e.owned, out)
-		operators.TransformColumn(nd.Applier, in, out)
-		core.Sanitize(out)
-		e.vals[nd.Name] = out
+		specs[i] = NodeSpec{Name: nodes[i].Name, Inputs: nodes[i].Inputs, Op: op}
 	}
-	if cap(e.out) < len(e.live) {
-		e.out = make([][]float64, len(e.live))
+	live := make([]string, len(f.live))
+	for i, lf := range f.live {
+		live[i] = lf.name
 	}
-	out := e.out[:len(e.live)]
-	for i, name := range e.live {
-		out[i] = e.vals[name]
-	}
-	return out
+	f.liveEpoch++
+	return f.exec.SetLive(f.ctx, f.liveEpoch, specs, live)
 }
 
-// release returns the evaluator's derived-column buffers to the arena and
-// drops references into the chunk, which may be recycled right after.
-func (e *evaluator) release() {
-	for i, b := range e.owned {
-		e.arena.PutFloats(b)
-		e.owned[i] = nil
+// genSpec reifies one generated candidate for kernel-side recomputation.
+func genSpec(en *candidate) (GenSpec, error) {
+	op, ok := operators.ApplierOp(en.applier)
+	if !ok {
+		return GenSpec{}, fmt.Errorf("shard: candidate %q has a non-registry applier", en.name)
 	}
-	e.owned = e.owned[:0]
-	for k := range e.vals {
-		delete(e.vals, k)
-	}
+	return GenSpec{Op: op, Feats: en.feats}, nil
 }
 
-// fillCodes bins one column slice into GBDT codes: 0 for NaN, 1+bin
-// otherwise — the binner encoding gbdt.TrainBinned expects.
-func fillCodes(dst []uint8, vals, cuts []float64, ix *stats.CutIndexer) {
-	ix.Reset(cuts)
-	for i, v := range vals {
-		if v != v { // NaN
-			dst[i] = 0
+// entrySpecs reifies a candidate set for the histogram/Gram passes; cuts
+// selects the per-entry bin edges to ship.
+func entrySpecs(entries []*candidate, cuts func(*candidate) []float64) ([]EntrySpec, error) {
+	out := make([]EntrySpec, len(entries))
+	for i, en := range entries {
+		if en.isBase {
+			out[i] = EntrySpec{Base: en.baseIdx, Cuts: cuts(en)}
 			continue
 		}
-		dst[i] = uint8(1 + ix.Find(v))
+		g, err := genSpec(en)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = EntrySpec{Base: -1, Gen: g, Cuts: cuts(en)}
 	}
+	return out, nil
+}
+
+// passBaseSketch is pass 1: labels plus per-feature quantile sketches and
+// moments, merged in partition order — exactly the sequence the sequential
+// engine accumulated in.
+func (f *fitter) passBaseSketch() error {
+	m := len(f.names)
+	return f.runPass(&PassSpec{Kind: PassBaseSketch}, func(p *Partial) error {
+		if len(p.Labels) != p.Rows {
+			return fmt.Errorf("shard: base-sketch partial %d carries %d labels for %d rows", p.Chunk, len(p.Labels), p.Rows)
+		}
+		if len(p.Sketches) != m || len(p.Moments) != m {
+			return fmt.Errorf("shard: base-sketch partial %d has %d sketches and %d moments, want %d", p.Chunk, len(p.Sketches), len(p.Moments), m)
+		}
+		f.labels = append(f.labels, p.Labels...)
+		for j := 0; j < m; j++ {
+			f.live[j].sk.Merge(p.Sketches[j])
+			f.live[j].mom.Merge(&p.Moments[j])
+		}
+		return nil
+	})
 }
 
 // passLiveCodes streams one pass building the resident miner codes of the
-// given live features from their miner cuts. Codes land in disjoint global
-// row ranges, so partitions proceed fully in parallel with nothing to fold.
+// given live features from their miner cuts. Codes land in disjoint row
+// ranges, so placement alone (not fold order) determines the result.
 func (f *fitter) passLiveCodes(live []*liveFeat) error {
-	if f.exec != nil {
-		return f.distPassLiveCodes(live)
+	spec := &PassSpec{Kind: PassCodes, LiveCuts: make([][]float64, len(live))}
+	for i := range live {
+		spec.LiveCuts[i] = live[i].minerCuts
 	}
-	return f.runPass(func(c *frame.Chunk, w *passWorker) (func() error, error) {
-		cols := w.ev.liveCols(c)
-		rows := c.NumRows()
-		for i := range live {
-			fillCodes(live[i].codes[c.Start:c.Start+rows], cols[i], live[i].minerCuts, &w.ix)
+	return f.runPass(spec, func(p *Partial) error {
+		if err := f.checkPartial(p, "codes"); err != nil {
+			return err
 		}
-		w.ev.release()
-		return nil, nil
+		if len(p.Codes) != len(live) {
+			return fmt.Errorf("shard: codes partial %d has %d columns, want %d", p.Chunk, len(p.Codes), len(live))
+		}
+		for i := range live {
+			if len(p.Codes[i]) != p.Rows {
+				return fmt.Errorf("shard: codes partial %d col %d has %d rows, want %d", p.Chunk, i, len(p.Codes[i]), p.Rows)
+			}
+			copy(live[i].codes[p.Start:p.Start+p.Rows], p.Codes[i])
+		}
+		return nil
 	})
 }
 
 // scoreCombos fills every combination's gain ratio from contingency
 // statistics accumulated over one streaming pass, dispatching on the task:
 // binary positive/total counts, K-class cell counts, or per-cell target
-// moments. Partitions accumulate partial statistics concurrently and fold
-// in partition order; for the count-valued families the fold is exact
-// integer addition, so the scores match the in-memory scorer bit-for-bit
-// given the same mined combinations.
+// moments. For the count-valued families the fold is exact integer
+// addition, so the scores match the in-memory scorer bit-for-bit given the
+// same mined combinations. Float moment sums are order-sensitive, so for
+// regression the kernel computes only each row's cell id and the fold
+// accumulates targets into the per-cell moments in global row order — the
+// exact float addition sequence of the in-memory stats.VarGainRatio.
 func (f *fitter) scoreCombos(combos []core.Combo) error {
 	if len(combos) == 0 {
 		return nil
 	}
+	spec := &PassSpec{Kind: PassScoreBinary, Combos: make([]ComboSpec, len(combos))}
+	for i := range combos {
+		spec.Combos[i] = ComboSpec{Features: combos[i].Features, Values: combos[i].Values}
+	}
+	k, mult := f.cfg.Task.Classes, 1
 	switch f.cfg.Task.Kind {
 	case core.TaskMulticlass:
-		return f.scoreCombosClasses(combos, f.cfg.Task.Classes)
+		spec.Kind, spec.Classes, mult = PassScoreClasses, k, k
 	case core.TaskRegression:
-		return f.scoreCombosMoments(combos)
+		spec.Kind = PassScoreMomentIDs
 	}
-	cells := make([]*core.ComboCells, len(combos))
-	// One flat accumulator block per statistic; combos whose cell grids
-	// degenerate (a single cell) get zero width and score 0, as in-memory.
-	off := make([]int, len(combos)+1)
-	for i := range combos {
-		cells[i] = core.NewComboCells(&combos[i])
-		width := 0
-		if nc := cells[i].NumCells(); nc > 1 {
-			width = nc
-		}
-		off[i+1] = off[i] + width
-	}
-	total := off[len(combos)]
-	pos := make([]int, total)
-	tot := make([]int, total)
-	var err error
-	if f.exec != nil {
-		err = f.distScoreBinary(combos, total, pos, tot)
-		if err != nil {
-			return err
-		}
-		for i := range combos {
-			if off[i+1] == off[i] {
-				combos[i].GainRatio = 0
-				continue
-			}
-			combos[i].GainRatio = stats.GainRatioFromCounts(pos[off[i]:off[i+1]], tot[off[i]:off[i+1]])
-		}
-		return nil
-	}
-	err = f.runPass(func(c *frame.Chunk, w *passWorker) (func() error, error) {
-		cols := w.ev.liveCols(c)
-		rows := c.NumRows()
-		bits := f.labelBits[c.Start : c.Start+rows]
-		slab := f.arena.Int32sZeroed(2 * total)
-		var vals [3]float64
-		for ci := range combos {
-			if off[ci+1] == off[ci] {
-				continue
-			}
-			cc := cells[ci]
-			feats := cc.Features()
-			ppos := slab[off[ci]:off[ci+1]]
-			ptot := slab[total+off[ci] : total+off[ci+1]]
-			for r := 0; r < rows; r++ {
-				for k, fi := range feats {
-					vals[k] = cols[fi][r]
-				}
-				id := cc.CellOf(vals[:len(feats)])
-				ptot[id]++
-				ppos[id] += int32(bits[r]) // branchless: bit = label > 0.5
-			}
-		}
-		w.ev.release()
-		return func() error {
-			for g := 0; g < total; g++ {
-				pos[g] += int(slab[g])
-				tot[g] += int(slab[total+g])
-			}
-			f.arena.PutInt32s(slab)
-			return nil
-		}, nil
-	})
+	cells, off, err := comboLayout(spec.Combos, mult, len(f.live))
 	if err != nil {
 		return err
 	}
-	for i := range combos {
-		if off[i+1] == off[i] {
-			combos[i].GainRatio = 0
-			continue
-		}
-		combos[i].GainRatio = stats.GainRatioFromCounts(pos[off[i]:off[i+1]], tot[off[i]:off[i+1]])
-	}
-	return nil
-}
-
-// scoreCombosClasses is scoreCombos for the multiclass task: per-cell
-// K-class counts folded through stats.GainRatioFromClassCounts. Counts are
-// integral, so the partition-ordered fold reproduces the in-memory
-// stats.GainRatioClasses accumulation exactly.
-func (f *fitter) scoreCombosClasses(combos []core.Combo, k int) error {
-	cells := make([]*core.ComboCells, len(combos))
-	off := make([]int, len(combos)+1)
-	for i := range combos {
-		cells[i] = core.NewComboCells(&combos[i])
-		width := 0
-		if nc := cells[i].NumCells(); nc > 1 {
-			width = nc * k
-		}
-		off[i+1] = off[i] + width
-	}
 	total := off[len(combos)]
-	cnt := make([]float64, total)
-	var err error
-	if f.exec != nil {
-		err = f.distScoreClasses(combos, k, total, cnt)
-		if err != nil {
-			return err
-		}
-		for i := range combos {
-			if off[i+1] == off[i] {
-				combos[i].GainRatio = 0
-				continue
+	var fold func(*Partial) error
+	var score func(i int) float64
+	switch spec.Kind {
+	case PassScoreBinary:
+		pos, tot := make([]int, total), make([]int, total)
+		fold = func(p *Partial) error {
+			if len(p.Ints) != 2*total {
+				return fmt.Errorf("shard: score partial %d has %d counts, want %d", p.Chunk, len(p.Ints), 2*total)
 			}
-			combos[i].GainRatio = stats.GainRatioFromClassCounts(cnt[off[i]:off[i+1]], cells[i].NumCells(), k)
-		}
-		return nil
-	}
-	err = f.runPass(func(c *frame.Chunk, w *passWorker) (func() error, error) {
-		cols := w.ev.liveCols(c)
-		rows := c.NumRows()
-		cls := f.labelCls[c.Start : c.Start+rows]
-		slab := f.arena.Int32sZeroed(total)
-		var vals [3]float64
-		for ci := range combos {
-			if off[ci+1] == off[ci] {
-				continue
-			}
-			cc := cells[ci]
-			feats := cc.Features()
-			pcnt := slab[off[ci]:off[ci+1]]
-			for r := 0; r < rows; r++ {
-				for j, fi := range feats {
-					vals[j] = cols[fi][r]
-				}
-				id := cc.CellOf(vals[:len(feats)])
-				if cl := cls[r]; cl >= 0 {
-					pcnt[id*k+int(cl)]++
-				}
-			}
-		}
-		w.ev.release()
-		return func() error {
 			for g := 0; g < total; g++ {
-				cnt[g] += float64(slab[g])
+				pos[g] += int(p.Ints[g])
+				tot[g] += int(p.Ints[total+g])
 			}
-			f.arena.PutInt32s(slab)
 			return nil
-		}, nil
-	})
-	if err != nil {
-		return err
-	}
-	for i := range combos {
-		if off[i+1] == off[i] {
-			combos[i].GainRatio = 0
-			continue
 		}
-		combos[i].GainRatio = stats.GainRatioFromClassCounts(cnt[off[i]:off[i+1]], cells[i].NumCells(), k)
-	}
-	return nil
-}
-
-// scoreCombosMoments is scoreCombos for the regression task. Float moment
-// sums are order-sensitive, so partitions compute only each row's cell id
-// in parallel; the fold then accumulates targets into the per-cell moments
-// in global row order — the exact float addition sequence of the in-memory
-// stats.VarGainRatio, bit-identical for any worker count.
-func (f *fitter) scoreCombosMoments(combos []core.Combo) error {
-	cells := make([]*core.ComboCells, len(combos))
-	cnt := make([][]float64, len(combos))
-	sum := make([][]float64, len(combos))
-	sumsq := make([][]float64, len(combos))
-	active := 0
-	for i := range combos {
-		cells[i] = core.NewComboCells(&combos[i])
-		if nc := cells[i].NumCells(); nc > 1 {
-			cnt[i] = make([]float64, nc)
-			sum[i] = make([]float64, nc)
-			sumsq[i] = make([]float64, nc)
-			active++
+		score = func(i int) float64 {
+			return stats.GainRatioFromCounts(pos[off[i]:off[i+1]], tot[off[i]:off[i+1]])
 		}
-	}
-	nActive := active
-	var err error
-	if f.exec != nil {
-		err = f.distScoreMoments(combos, nActive, cnt, sum, sumsq)
-		if err != nil {
-			return err
+	case PassScoreClasses:
+		cnt := make([]float64, total)
+		fold = func(p *Partial) error {
+			if len(p.Ints) != total {
+				return fmt.Errorf("shard: class-score partial %d has %d counts, want %d", p.Chunk, len(p.Ints), total)
+			}
+			for g := 0; g < total; g++ {
+				cnt[g] += float64(p.Ints[g])
+			}
+			return nil
 		}
+		score = func(i int) float64 {
+			return stats.GainRatioFromClassCounts(cnt[off[i]:off[i+1]], cells[i].NumCells(), k)
+		}
+	default:
+		cnt, sum, sumsq := make([][]float64, len(combos)), make([][]float64, len(combos)), make([][]float64, len(combos))
+		active := 0
 		for i := range combos {
-			if cnt[i] == nil {
-				combos[i].GainRatio = 0
-				continue
-			}
-			combos[i].GainRatio = stats.VarGainRatioFromMoments(cnt[i], sum[i], sumsq[i])
-		}
-		return nil
-	}
-	err = f.runPass(func(c *frame.Chunk, w *passWorker) (func() error, error) {
-		cols := w.ev.liveCols(c)
-		rows := c.NumRows()
-		start := c.Start
-		slab := f.arena.Int32s(nActive * rows)
-		var vals [3]float64
-		pos := 0
-		for ci := range combos {
-			if cnt[ci] == nil {
-				continue
-			}
-			cc := cells[ci]
-			feats := cc.Features()
-			ids := slab[pos : pos+rows]
-			pos += rows
-			for r := 0; r < rows; r++ {
-				for j, fi := range feats {
-					vals[j] = cols[fi][r]
-				}
-				ids[r] = int32(cc.CellOf(vals[:len(feats)]))
+			if nc := off[i+1] - off[i]; nc > 0 {
+				cnt[i], sum[i], sumsq[i] = make([]float64, nc), make([]float64, nc), make([]float64, nc)
+				active++
 			}
 		}
-		w.ev.release()
-		return func() error {
-			labels := f.labels[start : start+rows]
-			pos := 0
+		fold = func(p *Partial) error {
+			if err := f.checkPartial(p, "moment-score"); err != nil {
+				return err
+			}
+			if len(p.Ints) != active*p.Rows {
+				return fmt.Errorf("shard: moment-score partial %d has %d ids, want %d", p.Chunk, len(p.Ints), active*p.Rows)
+			}
+			labels := f.labels[p.Start : p.Start+p.Rows]
+			ids := p.Ints
 			for ci := range combos {
 				if cnt[ci] == nil {
 					continue
 				}
-				ids := slab[pos : pos+rows]
-				pos += rows
 				ccnt, csum, csumsq := cnt[ci], sum[ci], sumsq[ci]
-				for r := 0; r < rows; r++ {
-					id := ids[r]
+				for r, id := range ids[:p.Rows] {
+					if id < 0 || int(id) >= len(ccnt) {
+						return fmt.Errorf("shard: moment-score partial %d cell id %d outside %d cells", p.Chunk, id, len(ccnt))
+					}
 					y := labels[r]
 					ccnt[id]++
 					csum[id] += y
 					csumsq[id] += y * y
 				}
+				ids = ids[p.Rows:]
 			}
-			f.arena.PutInt32s(slab)
 			return nil
-		}, nil
-	})
-	if err != nil {
+		}
+		score = func(i int) float64 { return stats.VarGainRatioFromMoments(cnt[i], sum[i], sumsq[i]) }
+	}
+	if err := f.runPass(spec, fold); err != nil {
 		return err
 	}
 	for i := range combos {
-		if cnt[i] == nil {
-			combos[i].GainRatio = 0
-			continue
+		combos[i].GainRatio = 0
+		if off[i+1] > off[i] {
+			combos[i].GainRatio = score(i)
 		}
-		combos[i].GainRatio = stats.VarGainRatioFromMoments(cnt[i], sum[i], sumsq[i])
 	}
 	return nil
 }
 
 // passCandidateSketches streams one pass sketching every generated
-// candidate column (quantile summary + moments): partitions summarise
-// concurrently with arena-recycled partials, and the fold merges them into
-// each candidate's running sketch in partition order — the same merge
-// sequence the sequential pass performed.
+// candidate column (quantile summary + moments), merging the partials into
+// each candidate's running sketch in partition order.
 func (f *fitter) passCandidateSketches(entries []*candidate) error {
 	var gen []*candidate
+	spec := &PassSpec{Kind: PassSketchGen}
 	for _, en := range entries {
-		if !en.isBase {
-			gen = append(gen, en)
+		if en.isBase {
+			continue
 		}
+		g, err := genSpec(en)
+		if err != nil {
+			return err
+		}
+		gen = append(gen, en)
+		spec.Gens = append(spec.Gens, g)
 	}
 	if len(gen) == 0 {
 		return nil
 	}
-	if f.exec != nil {
-		return f.distPassCandidateSketches(gen)
-	}
-	return f.runPass(func(c *frame.Chunk, w *passWorker) (func() error, error) {
-		cols := w.ev.liveCols(c)
-		rows := c.NumRows()
-		buf := f.arena.Floats(rows)
-		parts := make([]*sketch.Quantile, len(gen))
-		moms := make([]sketch.Moments, len(gen))
-		var in [3][]float64
-		for i, en := range gen {
-			iv := in[:len(en.feats)]
-			for k, fi := range en.feats {
-				iv[k] = cols[fi]
-			}
-			operators.TransformColumn(en.applier, iv, buf)
-			core.Sanitize(buf)
-			sorted, nan := sketch.SortNonNaN(buf, &w.srt)
-			part := f.arena.Quantile(f.sketchSize)
-			part.AddSortedScratch(sorted, nan, &w.srt)
-			parts[i] = part
-			moms[i].AddAll(buf)
+	return f.runPass(spec, func(p *Partial) error {
+		if len(p.Sketches) != len(gen) || len(p.Moments) != len(gen) {
+			return fmt.Errorf("shard: gen-sketch partial %d has %d sketches and %d moments, want %d", p.Chunk, len(p.Sketches), len(p.Moments), len(gen))
 		}
-		f.arena.PutFloats(buf)
-		w.ev.release()
-		return func() error {
-			for i, en := range gen {
-				en.sk.Merge(parts[i])
-				f.arena.PutQuantile(parts[i])
-				en.mom.Merge(&moms[i])
-			}
-			return nil
-		}, nil
+		for i, en := range gen {
+			en.sk.Merge(p.Sketches[i])
+			en.mom.Merge(&p.Moments[i])
+		}
+		return nil
 	})
 }
 
@@ -493,60 +365,26 @@ func cutRankUnion(n int64, cfg *core.Config) []int64 {
 }
 
 // refineLive brackets the live sketches' cut targets and, when any bracket
-// is still open, streams one gather pass to resolve them exactly: each
-// partition gathers into shadow refiners, folded back in partition order
-// (order-invariant counts; gathered values are sorted at finalize). Approx
-// mode skips refinement entirely (cuts then come straight off the
-// sketches). refineLive runs before any feature generation, so columns are
-// read straight off the chunk.
+// is still open, streams one gather pass over the raw source columns to
+// resolve them exactly. Approx mode skips refinement entirely (cuts then
+// come straight off the sketches). refineLive runs before any feature
+// generation, so the spec addresses columns by schema index — which lets
+// the in-process executor skip blocks its statistics prove irrelevant.
 func (f *fitter) refineLive() error {
 	if f.approxCuts {
 		return nil
 	}
-	var open []openRef
+	spec := &PassSpec{Kind: PassRefine}
+	var refs []*sketch.Refiner
 	for j, lf := range f.live {
 		lf.ref = sketch.NewRefiner(lf.sk, cutRankUnion(lf.sk.Count(), &f.cfg))
 		lf.sk.TrimScratch() // merge phase over; the refiner carries the pass
 		if lf.ref.NeedsPass() {
-			open = append(open, openRef{ref: lf.ref, col: j})
+			spec.Refines = append(spec.Refines, RefineSpec{Col: j})
+			refs = append(refs, lf.ref)
 		}
 	}
-	if len(open) == 0 {
-		return nil
-	}
-	if f.exec != nil {
-		// Block-stat skip planning needs local source access; the distributed
-		// gather always runs the full pass.
-		return f.distRefineLive(open)
-	}
-	// The refinement pass reads original columns straight off the chunks, so
-	// a source with per-block statistics can prove blocks irrelevant up
-	// front: those chunks are never read, their exact contribution folded
-	// from the stats instead.
-	cleanup, done := f.planRefineSkip(open)
-	if cleanup != nil {
-		defer cleanup()
-	}
-	if done {
-		return nil
-	}
-	return f.runPass(func(c *frame.Chunk, w *passWorker) (func() error, error) {
-		shs := make([]*sketch.Refiner, len(open))
-		for i, o := range open {
-			// Per-value streaming beats sort+AddSorted here: the shared edge
-			// index classifies each value in O(1), and finalize sorts the few
-			// gathered in-bracket values, so the result is bit-identical.
-			sh := o.ref.Shadow()
-			sh.AddChunk(c.Cols[o.col])
-			shs[i] = sh
-		}
-		return func() error {
-			for i, o := range open {
-				o.ref.Merge(shs[i])
-			}
-			return nil
-		}, nil
-	})
+	return f.refine(spec, refs)
 }
 
 // refineCandidates is refineLive for the round's generated candidates,
@@ -555,7 +393,8 @@ func (f *fitter) refineCandidates(entries []*candidate) error {
 	if f.approxCuts {
 		return nil
 	}
-	var open []*candidate
+	spec := &PassSpec{Kind: PassRefine}
+	var refs []*sketch.Refiner
 	for _, en := range entries {
 		if en.isBase {
 			continue // base refiners carry over from the live set
@@ -563,40 +402,38 @@ func (f *fitter) refineCandidates(entries []*candidate) error {
 		en.ref = sketch.NewRefiner(en.sk, cutRankUnion(en.sk.Count(), &f.cfg))
 		en.sk.TrimScratch() // merge phase over; the refiner carries the pass
 		if en.ref.NeedsPass() {
-			open = append(open, en)
+			g, err := genSpec(en)
+			if err != nil {
+				return err
+			}
+			spec.Refines = append(spec.Refines, RefineSpec{Col: -1, Gen: g})
+			refs = append(refs, en.ref)
 		}
 	}
-	if len(open) == 0 {
+	return f.refine(spec, refs)
+}
+
+// refine runs one gather pass for the open refiners, when there are any:
+// refs[i] merges the gather partials of spec.Refines[i] in partition order
+// (order-invariant counts; gathered values are sorted at finalize).
+func (f *fitter) refine(spec *PassSpec, refs []*sketch.Refiner) error {
+	if len(refs) == 0 {
 		return nil
 	}
-	if f.exec != nil {
-		return f.distRefineCandidates(open)
+	for i, ref := range refs {
+		rf := &spec.Refines[i]
+		rf.Ranks, rf.Lo, rf.Hi, rf.Resolved = ref.Brackets()
 	}
-	return f.runPass(func(c *frame.Chunk, w *passWorker) (func() error, error) {
-		cols := w.ev.liveCols(c)
-		rows := c.NumRows()
-		buf := f.arena.Floats(rows)
-		shs := make([]*sketch.Refiner, len(open))
-		var in [3][]float64
-		for i, en := range open {
-			iv := in[:len(en.feats)]
-			for k, fi := range en.feats {
-				iv[k] = cols[fi]
-			}
-			operators.TransformColumn(en.applier, iv, buf)
-			core.Sanitize(buf)
-			sh := en.ref.Shadow()
-			sh.AddChunk(buf)
-			shs[i] = sh
+	return f.runPass(spec, func(p *Partial) error {
+		if len(p.Gathers) != len(refs) {
+			return fmt.Errorf("shard: refine partial %d has %d gathers, want %d", p.Chunk, len(p.Gathers), len(refs))
 		}
-		f.arena.PutFloats(buf)
-		w.ev.release()
-		return func() error {
-			for i, en := range open {
-				en.ref.Merge(shs[i])
+		for i, ref := range refs {
+			if err := ref.MergeWire(p.Gathers[i]); err != nil {
+				return fmt.Errorf("shard: refine partial %d target %d: %w", p.Chunk, i, err)
 			}
-			return nil
-		}, nil
+		}
+		return nil
 	})
 }
 
@@ -617,85 +454,51 @@ func (f *fitter) newCriterionHist(cuts []float64) sketch.CriterionHist {
 // passCandidateCounts streams one pass accumulating every candidate's
 // binned criterion histogram, from which the task's relevance criterion
 // (IV, multiclass IV, or η²) follows. The count-valued families (binary,
-// multiclass) accumulate per-partition shadow histograms folded exactly in
-// partition order; the regression moment histogram computes bin ids in
-// parallel and replays the target sums in global row order, keeping the
+// multiclass) merge per-partition histogram partials exactly in partition
+// order; the regression moment histogram takes per-row bin ids from the
+// kernel and replays the target sums in global row order, keeping the
 // float arithmetic bit-identical to the in-memory single-pass accumulation.
 func (f *fitter) passCandidateCounts(entries []*candidate) error {
 	for _, en := range entries {
 		en.hist = f.newCriterionHist(en.ivCuts)
 	}
-	if f.exec != nil {
-		return f.distPassCandidateCounts(entries)
+	specs, err := entrySpecs(entries, func(en *candidate) []float64 { return en.ivCuts })
+	if err != nil {
+		return err
 	}
-	regression := f.cfg.Task.Kind == core.TaskRegression
-	return f.runPass(func(c *frame.Chunk, w *passWorker) (func() error, error) {
-		cols := w.ev.liveCols(c)
-		rows := c.NumRows()
-		start := c.Start
-		labels := f.labels[start : start+rows]
-		var buf []float64
-		colFor := func(en *candidate) []float64 {
-			if en.isBase {
-				return cols[en.baseIdx]
+	if f.cfg.Task.Kind == core.TaskRegression {
+		return f.runPass(&PassSpec{Kind: PassHistIDs, Entries: specs}, func(p *Partial) error {
+			if err := f.checkPartial(p, "hist-id"); err != nil {
+				return err
 			}
-			if buf == nil {
-				buf = f.arena.Floats(rows)
+			if len(p.Ints) != len(entries)*p.Rows {
+				return fmt.Errorf("shard: hist-id partial %d has %d ids, want %d", p.Chunk, len(p.Ints), len(entries)*p.Rows)
 			}
-			var in [3][]float64
-			iv := in[:len(en.feats)]
-			for k, fi := range en.feats {
-				iv[k] = cols[fi]
-			}
-			operators.TransformColumn(en.applier, iv, buf)
-			core.Sanitize(buf)
-			return buf
-		}
-		if regression {
-			slab := f.arena.Int32s(len(entries) * rows)
+			targets := f.labels[p.Start : p.Start+p.Rows]
 			for i, en := range entries {
-				en.hist.(*sketch.MomentHist).BinIDs(colFor(en), slab[i*rows:(i+1)*rows])
-			}
-			if buf != nil {
-				f.arena.PutFloats(buf)
-			}
-			w.ev.release()
-			return func() error {
-				targets := f.labels[start : start+rows]
-				for i, en := range entries {
-					en.hist.(*sketch.MomentHist).AddBinned(slab[i*rows:(i+1)*rows], targets)
+				ids := p.Ints[i*p.Rows : (i+1)*p.Rows]
+				for _, id := range ids {
+					if id < -1 || int(id) > len(en.ivCuts) {
+						return fmt.Errorf("shard: hist-id partial %d bin id %d outside %d bins", p.Chunk, id, len(en.ivCuts)+1)
+					}
 				}
-				f.arena.PutInt32s(slab)
-				return nil
-			}, nil
-		}
-		shadows := make([]sketch.CriterionHist, len(entries))
-		for i, en := range entries {
-			sh := shadowHist(en.hist)
-			// The pre-encoded label paths fold the same integer counts as
-			// AddCol without re-deriving the label per value per candidate.
-			switch h := sh.(type) {
-			case *sketch.LabelHist:
-				h.AddColBits(colFor(en), f.labelBits[start:start+rows])
-			case *sketch.ClassHist:
-				h.AddColCls(colFor(en), f.labelCls[start:start+rows])
-			default:
-				sh.AddCol(colFor(en), labels)
-			}
-			shadows[i] = sh
-		}
-		if buf != nil {
-			f.arena.PutFloats(buf)
-		}
-		w.ev.release()
-		return func() error {
-			for i, en := range entries {
-				if err := en.hist.MergeHist(shadows[i]); err != nil {
-					return err
-				}
+				en.hist.(*sketch.MomentHist).AddBinned(ids, targets)
 			}
 			return nil
-		}, nil
+		})
+	}
+	return f.runPass(&PassSpec{Kind: PassHistCounts, Entries: specs}, func(p *Partial) error {
+		if len(p.Hists) != len(entries) {
+			return fmt.Errorf("shard: hist partial %d has %d histograms, want %d", p.Chunk, len(p.Hists), len(entries))
+		}
+		for i, en := range entries {
+			// MergeHist's type and cut-equality checks double as an
+			// integrity check on the partial.
+			if err := en.hist.MergeHist(p.Hists[i]); err != nil {
+				return fmt.Errorf("shard: hist partial %d cand %d: %w", p.Chunk, i, err)
+			}
+		}
+		return nil
 	})
 }
 
@@ -705,55 +508,39 @@ func (f *fitter) passCandidateCounts(entries []*candidate) error {
 // since each chunk's dot products add once either way) and materialising
 // resident ranker codes for survivors that do not already alias live codes.
 func (f *fitter) passGramAndCodes(entries []*candidate, keptA []int) error {
-	needCodes := make([]bool, len(keptA))
+	kept := make([]*candidate, len(keptA))
 	for gi, idx := range keptA {
-		if entries[idx].codes == nil {
-			entries[idx].codes = make([]uint8, f.n)
-			needCodes[gi] = true
+		kept[gi] = entries[idx]
+	}
+	specs, err := entrySpecs(kept, func(en *candidate) []float64 { return en.rgCuts })
+	if err != nil {
+		return err
+	}
+	for gi, en := range kept {
+		if en.codes == nil {
+			en.codes = make([]uint8, f.n)
+			specs[gi].NeedCodes = true
 		}
 	}
-	f.gram = sketch.NewGram(len(keptA))
-	if f.exec != nil {
-		return f.distPassGramAndCodes(entries, keptA, needCodes)
-	}
-	return f.runPass(func(c *frame.Chunk, w *passWorker) (func() error, error) {
-		cols := w.ev.liveCols(c)
-		rows := c.NumRows()
-		mat := make([][]float64, len(keptA))
-		var owned [][]float64
-		var in [3][]float64
-		for gi, idx := range keptA {
-			en := entries[idx]
-			var col []float64
-			if en.isBase {
-				col = cols[en.baseIdx]
-			} else {
-				col = f.arena.Floats(rows)
-				owned = append(owned, col)
-				iv := in[:len(en.feats)]
-				for k, fi := range en.feats {
-					iv[k] = cols[fi]
-				}
-				operators.TransformColumn(en.applier, iv, col)
-				core.Sanitize(col)
-			}
-			mat[gi] = col
-			if needCodes[gi] {
-				fillCodes(en.codes[c.Start:c.Start+rows], col, en.rgCuts, &w.ix)
-			}
+	f.gram = sketch.NewGram(len(kept))
+	return f.runPass(&PassSpec{Kind: PassGramCodes, Entries: specs}, func(p *Partial) error {
+		if err := f.checkPartial(p, "gram"); err != nil {
+			return err
 		}
-		pg := f.arena.Gram(len(keptA))
-		pg.AddRows(rows)
-		pg.AddPrepared(mat, sketch.PrepChunk(mat), 0, len(keptA))
-		for _, b := range owned {
-			f.arena.PutFloats(b)
+		if p.Gram == nil || p.Gram.K() != len(kept) || len(p.Codes) != len(kept) {
+			return fmt.Errorf("shard: gram partial %d does not cover the %d survivors", p.Chunk, len(kept))
 		}
-		w.ev.release()
-		return func() error {
-			f.gram.Merge(pg)
-			f.arena.PutGram(pg)
-			return nil
-		}, nil
+		f.gram.Merge(p.Gram)
+		for gi, en := range kept {
+			if !specs[gi].NeedCodes {
+				continue
+			}
+			if len(p.Codes[gi]) != p.Rows {
+				return fmt.Errorf("shard: gram partial %d codes %d has %d rows, want %d", p.Chunk, gi, len(p.Codes[gi]), p.Rows)
+			}
+			copy(en.codes[p.Start:p.Start+p.Rows], p.Codes[gi])
+		}
+		return nil
 	})
 }
 

@@ -121,7 +121,7 @@ type retrySource struct {
 	src     frame.ChunkSource
 	ctx     context.Context
 	pol     RetryPolicy
-	retries *int64 // &Stats.Retries; atomic — the prefetch reader goroutine writes it
+	retries *int64 // the caller's retry counter; atomic — the prefetch reader goroutine writes it
 	chunk   int    // delivered count within the current pass
 }
 

@@ -1,121 +1,173 @@
 package shard
 
 import (
+	"context"
 	"errors"
-	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 
+	"repro/internal/core"
 	"repro/internal/frame"
-	"repro/internal/sketch"
-	"repro/internal/stats"
+	"repro/internal/parallel"
 )
 
-// passWorker is one worker's scratch for a streaming pass: a dependency-
-// ordered evaluator over the current live set and a reusable cut indexer.
-// The heavyweight recycling (sketch partials, scratch columns, Gram
-// partials) lives in the fitter's shared arena, because deltas built by one
-// worker are returned to the pool by whichever worker folds them.
-type passWorker struct {
-	ev  *evaluator
-	ix  stats.CutIndexer
-	srt sketch.SortScratch
+// localExec is the in-process Executor Fit installs when Config.Exec is
+// nil. It streams the local source and runs the pass kernel on the
+// internal/parallel pool — bounded read-ahead, chunk leases, transient-read
+// retries and partition-ordered folds — and never serializes a partial:
+// kernel and folds recycle through the fitter's one arena.
+type localExec struct {
+	f        *fitter           // positions read errors by the fit's pass ordinal
+	src      frame.ChunkSource // retry-wrapped, and prefetched when parallel
+	base     frame.ChunkSource // the raw source, for block-stat skip planning
+	pf       *frame.Prefetch   // non-nil when chunks are leased (parallel passes)
+	pool     *parallel.Pool
+	ws       *WorkerState
+	scratch  []kernelScratch // one per pool slot, reused across passes
+	retries  int64           // transient reads absorbed; atomic (the prefetch reader adds)
+	reported int64           // retries already reported in a PassResult
 }
 
-// passDelta is one partition's deposited result awaiting its ordered fold.
-type passDelta struct {
-	fold func() error
-	rows int
+// newLocalExec wraps src for in-process passes. Transient-read retries wrap
+// the raw source BELOW the prefetcher: a retried read resolves inside one
+// Next call, so it never becomes a sticky stream error and the fold order
+// is untouched. Parallel passes need the prefetcher's lease semantics (each
+// worker owns its chunk until folded) and read two chunks ahead; a
+// single-worker fit reads sequentially and zero-copy. Call close when done.
+func newLocalExec(f *fitter, src frame.ChunkSource, retry RetryPolicy, pool *parallel.Pool) *localExec {
+	e := &localExec{f: f, base: src, pool: pool, scratch: make([]kernelScratch, pool.Workers())}
+	e.src = NewRetrySource(f.ctx, src, retry, &e.retries)
+	if pool.Workers() > 1 {
+		e.pf = frame.NewPrefetch(e.src, 2, pool.Workers())
+		e.src = e.pf
+	}
+	return e
 }
 
-// runPass makes one full streaming pass over the source. compute runs once
-// per chunk — concurrently on the worker pool when it has more than one
-// worker — and returns a fold closure (nil when the chunk's effect is
-// written in place, e.g. resident codes). Folds execute serially in
-// partition index order regardless of completion order, so every merged
-// statistic accumulates exactly as in the single-worker pass: the fit's
-// selected features are bit-identical across worker counts.
-//
-// Contract for compute: it may read the chunk and write per-chunk or
-// disjoint per-row state; the fold closure must not reference chunk memory
-// (the chunk's lease is recycled before the fold can run). The context is
-// checked before every chunk, and pass/row statistics are validated exactly
-// as the sequential engine always did.
-func (f *fitter) runPass(compute func(c *frame.Chunk, w *passWorker) (func() error, error)) error {
-	if err := f.src.Reset(); err != nil {
-		return err
+// close stops the prefetcher's reader, if any.
+func (e *localExec) close() {
+	if e.pf != nil {
+		e.pf.Close()
 	}
-	f.stats.Passes++
-	if f.pool.Workers() <= 1 {
-		return f.runPassSeq(compute)
-	}
-	r := &passRun{f: f, compute: compute, pending: make(map[int]passDelta)}
-	// Each pool slot runs one worker loop; the pool's caller participation
-	// guarantees progress even when every helper is busy elsewhere.
-	cerr := f.pool.ForChunksCtx(f.ctx, f.pool.Workers(), 1, func(lo, hi int) {
-		for slot := lo; slot < hi; slot++ {
-			r.worker(&passWorker{ev: f.newEvaluator()})
-		}
-	})
-	if r.err != nil {
-		return r.err
-	}
-	if cerr != nil {
-		return cerr
-	}
-	return f.finishPass(r.rows, r.parts)
 }
 
-// runPassSeq is the single-worker pass loop: compute and fold inline, chunk
-// by chunk, with no copies and no extra goroutines.
-func (f *fitter) runPassSeq(compute func(c *frame.Chunk, w *passWorker) (func() error, error)) error {
-	w := &passWorker{ev: f.newEvaluator()}
-	rows, parts := 0, 0
-	for {
-		if err := f.ctx.Err(); err != nil {
-			return err
+// Open implements Executor: the kernel shares the fit's operator registry
+// and arena.
+func (e *localExec) Open(_ context.Context, names []string, task core.Task, sketchSize int) error {
+	e.ws = newWorkerState(names, task, sketchSize, e.f.cfg.Registry, e.f.arena)
+	return nil
+}
+
+// SetLive implements Executor.
+func (e *localExec) SetLive(_ context.Context, epoch int, nodes []NodeSpec, live []string) error {
+	return e.ws.SetLive(epoch, nodes, live)
+}
+
+// RunPass implements Executor: one full streaming pass over the source.
+// The kernel runs once per chunk — concurrently on the pool when it has
+// more than one worker — and folds execute serially in partition index
+// order regardless of completion order, so every merged statistic
+// accumulates exactly as in the single-worker pass. The context is checked
+// before every chunk.
+func (e *localExec) RunPass(ctx context.Context, spec *PassSpec, fold func(*Partial) error) (PassResult, error) {
+	var res PassResult
+	if err := ctx.Err(); err != nil {
+		return res, err // before Reset starts the read-ahead
+	}
+	pg, err := e.ws.program(spec)
+	if err != nil {
+		return res, err
+	}
+	if spec.Kind == PassRefine && !pg.needLive {
+		// The refinement of raw source columns can prove blocks irrelevant
+		// from the source's block statistics: those chunks are never read,
+		// their exact contribution folded from the stats instead.
+		skipped, cleanup, done := e.planSkip(pg, &res)
+		if cleanup != nil {
+			defer cleanup()
 		}
-		c, err := f.src.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return f.passReadError(err, parts)
-		}
-		if err := f.checkShape(c); err != nil {
-			return err
-		}
-		nr := c.NumRows()
-		fold, err := compute(c, w)
-		f.recycle(c)
-		if err != nil {
-			return err
-		}
-		if fold != nil {
-			if err := fold(); err != nil {
-				return err
+		if skipped != nil {
+			if err := fold(skipped); err != nil || done {
+				return res, err
 			}
 		}
-		rows += nr
-		parts++
 	}
-	return f.finishPass(rows, parts)
+	if err := e.src.Reset(); err != nil {
+		return res, err
+	}
+	// A folded partial's sketches, Gram and slab go back to the arena the
+	// kernel draws the next chunk's from.
+	recycled := func(p *Partial) error {
+		if err := fold(p); err != nil {
+			return err
+		}
+		recyclePartial(e.ws.arena, p)
+		return nil
+	}
+	r := &passRun{e: e, ctx: ctx, pg: pg, fold: recycled, res: &res, pending: make(map[int]*Partial)}
+	if e.pool.Workers() <= 1 {
+		err = r.sequential(&e.scratch[0])
+	} else {
+		// Each pool slot runs one worker loop; the pool's caller
+		// participation guarantees progress even when every helper is busy.
+		cerr := e.pool.ForChunksCtx(ctx, e.pool.Workers(), 1, func(lo, hi int) {
+			for slot := lo; slot < hi; slot++ {
+				r.worker(&e.scratch[slot])
+			}
+		})
+		if err = r.err; err == nil {
+			err = cerr
+		}
+	}
+	total := atomic.LoadInt64(&e.retries)
+	res.Retries, e.reported = total-e.reported, total
+	return res, err
 }
 
-// passRun coordinates one parallel pass: chunk handout order defines the
-// partition sequence, and deposits drain the pending map in that sequence.
+// passRun coordinates one pass: chunk handout order defines the partition
+// sequence, and deposits drain the pending map in that sequence.
 type passRun struct {
-	f       *fitter
-	compute func(c *frame.Chunk, w *passWorker) (func() error, error)
+	e    *localExec
+	ctx  context.Context
+	pg   *passProgram
+	fold func(*Partial) error
+	res  *PassResult
 
 	mu       sync.Mutex
 	nextSeq  int // next partition index to hand out
 	nextFold int // next partition index to fold
-	pending  map[int]passDelta
-	rows     int
-	parts    int
+	pending  map[int]*Partial
 	eof      bool
 	err      error
+}
+
+// sequential is the single-worker pass loop: compute and fold inline, chunk
+// by chunk, with no copies and no extra goroutines.
+func (r *passRun) sequential(s *kernelScratch) error {
+	e := r.e
+	for seq := 0; ; seq++ {
+		if err := r.ctx.Err(); err != nil {
+			return err
+		}
+		c, err := e.src.Next()
+		if errors.Is(err, io.EOF) {
+			return nil
+		}
+		if err != nil {
+			return e.f.passReadError(err, seq)
+		}
+		p, err := e.ws.compute(r.pg, c, s)
+		e.recycle(c)
+		if err != nil {
+			return err
+		}
+		if err := r.fold(p); err != nil {
+			return err
+		}
+		r.res.Rows += p.Rows
+		r.res.Parts++
+	}
 }
 
 // fail records the first error and stops further handouts.
@@ -131,22 +183,22 @@ func (r *passRun) fail(err error) {
 // worker pulls chunks until the stream ends: read (serialized, which pins
 // seq to source order), compute concurrently, then deposit and fold every
 // consecutively available partition. Each worker holds at most one chunk
-// lease and one undeposited delta, so pending stays bounded by the worker
+// lease and one undeposited partial, so pending stays bounded by the worker
 // count with no extra back-pressure machinery.
-func (r *passRun) worker(w *passWorker) {
-	f := r.f
+func (r *passRun) worker(s *kernelScratch) {
+	e := r.e
 	for {
 		r.mu.Lock()
 		if r.err != nil || r.eof {
 			r.mu.Unlock()
 			return
 		}
-		if err := f.ctx.Err(); err != nil {
+		if err := r.ctx.Err(); err != nil {
 			r.mu.Unlock()
 			r.fail(err)
 			return
 		}
-		c, err := f.src.Next()
+		c, err := e.src.Next()
 		if err != nil {
 			if errors.Is(err, io.EOF) {
 				r.eof = true
@@ -155,28 +207,22 @@ func (r *passRun) worker(w *passWorker) {
 			}
 			chunk := r.nextSeq
 			r.mu.Unlock()
-			r.fail(f.passReadError(err, chunk))
+			r.fail(e.f.passReadError(err, chunk))
 			return
 		}
 		seq := r.nextSeq
 		r.nextSeq++
 		r.mu.Unlock()
 
-		if err := f.checkShape(c); err != nil {
-			f.recycle(c)
-			r.fail(err)
-			return
-		}
-		nr := c.NumRows()
-		fold, err := r.compute(c, w)
-		f.recycle(c)
+		p, err := e.ws.compute(r.pg, c, s)
+		e.recycle(c)
 		if err != nil {
 			r.fail(err)
 			return
 		}
 
 		r.mu.Lock()
-		r.pending[seq] = passDelta{fold: fold, rows: nr}
+		r.pending[seq] = p
 		for r.err == nil {
 			d, ok := r.pending[r.nextFold]
 			if !ok {
@@ -184,69 +230,23 @@ func (r *passRun) worker(w *passWorker) {
 			}
 			delete(r.pending, r.nextFold)
 			r.nextFold++
-			if d.fold != nil {
-				if err := d.fold(); err != nil {
-					r.err = err
-					r.eof = true
-					break
-				}
+			if err := r.fold(d); err != nil {
+				r.err = err
+				r.eof = true
+				break
 			}
-			r.rows += d.rows
-			r.parts++
+			r.res.Rows += d.Rows
+			r.res.Parts++
 		}
 		r.mu.Unlock()
 	}
 }
 
-// checkShape validates one chunk against the source schema.
-func (f *fitter) checkShape(c *frame.Chunk) error {
-	if len(c.Cols) != len(f.names) {
-		return fmt.Errorf("shard: chunk %d has %d columns, want %d", c.Index, len(c.Cols), len(f.names))
-	}
-	if c.Label != nil && len(c.Label) != c.NumRows() {
-		return fmt.Errorf("shard: chunk %d label covers %d of %d rows", c.Index, len(c.Label), c.NumRows())
-	}
-	return nil
-}
-
-// finishPass folds one completed pass into the fit statistics, validating
-// that the source yields a stable shape across passes. A planned partial
-// pass (block-stat skipping) announces its expected row count through
-// f.passExpect; any other shortfall is an unstable source.
-func (f *fitter) finishPass(rows, parts int) error {
-	f.stats.RowsStreamed += int64(rows)
-	if f.n == 0 {
-		f.n, f.stats.Rows, f.stats.Partitions = rows, rows, parts
-		return nil
-	}
-	expect := f.n
-	if f.passExpect > 0 {
-		expect = f.passExpect
-	}
-	if rows != expect {
-		return fmt.Errorf("shard: source yielded %d rows on a later pass, want %d (unstable source)", rows, expect)
-	}
-	return nil
-}
-
 // recycle returns a chunk lease to the prefetcher, when one is active.
-func (f *fitter) recycle(c *frame.Chunk) {
-	if f.pf != nil {
-		f.pf.Recycle(c)
+func (e *localExec) recycle(c *frame.Chunk) {
+	if e.pf != nil {
+		e.pf.Recycle(c)
 	}
 }
 
-// shadowHist returns a fresh concurrent-accumulation shadow of a criterion
-// histogram for the integral-count families; the regression MomentHist
-// returns nil (its float sums are order-sensitive, so the pass uses
-// BinIDs/AddBinned instead of a mergeable shadow).
-func shadowHist(h sketch.CriterionHist) sketch.CriterionHist {
-	switch t := h.(type) {
-	case *sketch.LabelHist:
-		return t.Shadow()
-	case *sketch.ClassHist:
-		return t.Shadow()
-	default:
-		return nil
-	}
-}
+var _ Executor = (*localExec)(nil)

@@ -31,25 +31,18 @@ type Config struct {
 	// stage; cut placement is then off by at most the sketches' rank error
 	// bound (Stats.MaxQuantileRankError).
 	ApproxCuts bool
-	// Prefetch bounds the chunk read-ahead of every streaming pass: the next
-	// Prefetch chunks are read and decoded in the background while the
-	// current ones are processed and folded. 0 picks the default (2 when the
-	// fit runs parallel workers, off for a single worker); < 0 disables
-	// read-ahead. Parallel fits always route chunks through the prefetcher's
-	// lease pool regardless, so each worker owns its chunk independently.
-	Prefetch int
 	// Retry bounds transient chunk-read retries (see RetryPolicy). The zero
 	// value disables retrying: every read error aborts the fit immediately.
 	// Retried reads re-run before the chunk is folded, so a recovered fit
 	// selects features bit-identical to a fault-free run.
 	Retry RetryPolicy
 	// Exec, when set, runs every streaming pass through an external executor
-	// (see Executor) instead of reading src locally: the coordinator reads
+	// (see Executor) instead of the in-process one: the coordinator reads
 	// only the source schema, reifies each pass into a PassSpec, and folds
 	// the returned partials in partition order — so selection stays
-	// bit-identical to the local engine for any executor worker count.
-	// Retry and Prefetch are ignored (fault handling moves below the
-	// executor's fold); the caller owns the executor's lifecycle.
+	// bit-identical to the in-process engine for any executor worker count.
+	// Retry then does not apply (fault handling moves below the executor's
+	// fold); the caller owns the executor's lifecycle.
 	Exec Executor
 }
 
@@ -109,40 +102,25 @@ func Fit(ctx context.Context, src frame.ChunkSource, cfg Config) (*core.Pipeline
 	if norm.IVEqualWidth {
 		return nil, nil, nil, errors.New("shard: IVEqualWidth is not supported by the sharded engine")
 	}
-	pool := parallel.Get(1)
-	if norm.Parallel {
-		pool = parallel.Get(norm.Workers)
-	}
 	f := &fitter{
 		ctx:        ctx,
 		cfg:        norm,
 		sketchSize: cfg.SketchSize,
 		approxCuts: cfg.ApproxCuts,
-		src:        src,
-		base:       src,
-		pool:       pool,
+		names:      src.Names(),
 		ops:        ops,
 		arities:    core.DistinctArities(ops),
 		arena:      sketch.NewArena(),
 		exec:       cfg.Exec,
 	}
-	if f.exec == nil {
-		// Transient-read retries wrap the raw source BELOW the prefetcher: a
-		// retried read resolves inside one Next call, so it never becomes a
-		// sticky stream error and the fold order is untouched. f.base stays the
-		// raw source for SkippableSource pass planning.
-		if cfg.Retry.enabled() {
-			f.src = &retrySource{src: src, ctx: ctx, pol: cfg.Retry, retries: &f.stats.Retries}
+	if cfg.Exec == nil {
+		pool := parallel.Get(1)
+		if norm.Parallel {
+			pool = parallel.Get(norm.Workers)
 		}
-		// Parallel passes need the prefetcher's lease semantics (each worker owns
-		// its chunk until folded); a single-worker fit uses it only when read-
-		// ahead is requested, keeping the sequential path zero-copy by default.
-		if depth := prefetchDepth(cfg.Prefetch, pool.Workers()); depth > 0 {
-			pf := frame.NewPrefetch(f.src, depth, pool.Workers())
-			defer pf.Close()
-			f.pf = pf
-			f.src = pf
-		}
+		local := newLocalExec(f, src, cfg.Retry, pool)
+		defer local.close()
+		f.exec = local
 	}
 	p, rep, err := f.fit()
 	if err != nil {
@@ -191,44 +169,20 @@ type fitter struct {
 	cfg        core.Config
 	sketchSize int
 	approxCuts bool
-	src        frame.ChunkSource
-	base       frame.ChunkSource // unwrapped source, for SkippableSource planning
-	pf         *frame.Prefetch   // non-nil when chunks are leased (parallel/read-ahead)
-	pool       *parallel.Pool
 	ops        []operators.Operator
 	arities    []int
 	arena      *sketch.Arena // recycles pass-transient sketches and scratch
 
-	names      []string
-	labels     []float64
-	labelBits  []uint8 // binary task: labels thresholded to 0/1 bits
-	labelCls   []int32 // multiclass task: labels as class ids, -1 invalid
-	n          int
-	passExpect int // expected rows of the current (possibly partial) pass; 0 = full
-	live       []*liveFeat
-	nodes      []core.FeatureNode // all generated nodes, for pipeline assembly
-	gram       *sketch.Gram       // transient: current round's pairwise co-moments
-
-	exec      Executor // non-nil: passes run remotely (see distpass.go)
-	liveEpoch int      // live-set epoch last pushed through exec.SetLive
+	names     []string
+	labels    []float64
+	n         int
+	live      []*liveFeat
+	nodes     []core.FeatureNode // all generated nodes, for pipeline assembly
+	gram      *sketch.Gram       // transient: current round's pairwise co-moments
+	exec      Executor           // runs the streaming passes (see dispatch.go)
+	liveEpoch int                // live-set epoch last pushed through exec.SetLive
 
 	stats Stats
-}
-
-// prefetchDepth resolves the Config.Prefetch knob: explicit depth wins, 0 is
-// auto (read-ahead 2 for parallel fits), negative disables read-ahead but a
-// parallel fit still gets a depth-1 lease stream for chunk ownership.
-func prefetchDepth(pref, workers int) int {
-	switch {
-	case pref > 0:
-		return pref
-	case pref == 0 && workers > 1:
-		return 2
-	case pref < 0 && workers > 1:
-		return 1
-	default:
-		return 0
-	}
 }
 
 // trackSketch folds a sketch's error bound into the fit statistics.
@@ -240,7 +194,6 @@ func (f *fitter) trackSketch(sk *sketch.Quantile) {
 
 func (f *fitter) fit() (*core.Pipeline, *core.Report, error) {
 	cfg := f.cfg
-	f.names = f.src.Names()
 	m := len(f.names)
 	if m == 0 {
 		return nil, nil, errors.New("shard: source has no feature columns")
@@ -259,27 +212,16 @@ func (f *fitter) fit() (*core.Pipeline, *core.Report, error) {
 	// sees the fit open before the first (possibly long) pass over the
 	// source; Rows on later events reflects cumulative source consumption.
 	cfg.Emit(core.FitEvent{Kind: core.EventFitStart, Candidates: m})
-	if f.exec != nil {
-		if err := f.exec.Open(f.ctx, f.names, cfg.Task, f.sketchSize); err != nil {
-			return nil, nil, err
-		}
+	if err := f.exec.Open(f.ctx, f.names, cfg.Task, f.sketchSize); err != nil {
+		return nil, nil, err
 	}
 
-	// Pass 1: labels plus per-feature quantile sketches and moments. Each
-	// partition summarises independently (arena-recycled partials); the fold
-	// merges partition summaries in partition order, exactly the sequence the
-	// sequential engine accumulated in.
+	// Pass 1: labels plus per-feature quantile sketches and moments.
 	f.live = make([]*liveFeat, m)
 	for j, name := range f.names {
 		f.live[j] = &liveFeat{name: name, sk: sketch.NewQuantile(f.sketchSize), mom: &sketch.Moments{}}
 	}
-	var err error
-	if f.exec != nil {
-		err = f.distPassBaseSketch()
-	} else {
-		err = f.passBaseSketchLocal(m)
-	}
-	if err != nil {
+	if err := f.passBaseSketch(); err != nil {
 		return nil, nil, err
 	}
 	if f.n == 0 {
@@ -288,30 +230,6 @@ func (f *fitter) fit() (*core.Pipeline, *core.Report, error) {
 	if err := cfg.Task.ValidateLabels(f.labels); err != nil {
 		return nil, nil, err
 	}
-	// Pre-encode the labels once for the count-valued passes: thresholding
-	// (binary) and float→class conversion (multiclass) are per-row costs
-	// those passes would otherwise repeat for every candidate column, and
-	// random binary labels make the threshold branch mispredict constantly.
-	switch cfg.Task.Kind {
-	case core.TaskMulticlass:
-		f.labelCls = make([]int32, len(f.labels))
-		for i, y := range f.labels {
-			if c := int(y); c >= 0 && c < cfg.Task.Classes {
-				f.labelCls[i] = int32(c)
-			} else {
-				f.labelCls[i] = -1
-			}
-		}
-	case core.TaskRegression:
-	default:
-		f.labelBits = make([]uint8, len(f.labels))
-		for i, y := range f.labels {
-			if y > 0.5 {
-				f.labelBits[i] = 1
-			}
-		}
-	}
-
 	budget := cfg.MaxFeatures
 	if budget <= 0 {
 		budget = 2 * m
@@ -546,38 +464,6 @@ func (f *fitter) fit() (*core.Pipeline, *core.Report, error) {
 		Rows: f.stats.RowsStreamed, Elapsed: report.Total,
 	})
 	return p, report, nil
-}
-
-// passBaseSketchLocal is pass 1 on the local source: labels plus per-feature
-// quantile sketches and moments. Each partition summarises independently
-// (arena-recycled partials); the fold merges partition summaries in
-// partition order, exactly the sequence the sequential engine accumulated
-// in.
-func (f *fitter) passBaseSketchLocal(m int) error {
-	return f.runPass(func(c *frame.Chunk, w *passWorker) (func() error, error) {
-		if c.Label == nil {
-			return nil, errors.New("shard: source has no label column")
-		}
-		labels := append([]float64(nil), c.Label...)
-		parts := make([]*sketch.Quantile, m)
-		moms := make([]sketch.Moments, m)
-		for j := 0; j < m; j++ {
-			sorted, nan := sketch.SortNonNaN(c.Cols[j], &w.srt)
-			part := f.arena.Quantile(f.sketchSize)
-			part.AddSortedScratch(sorted, nan, &w.srt)
-			parts[j] = part
-			moms[j].AddAll(c.Cols[j])
-		}
-		return func() error {
-			f.labels = append(f.labels, labels...)
-			for j := 0; j < m; j++ {
-				f.live[j].sk.Merge(parts[j])
-				f.arena.PutQuantile(parts[j])
-				f.live[j].mom.Merge(&moms[j])
-			}
-			return nil
-		}, nil
-	})
 }
 
 // enumerate builds the round's candidate entries: every live feature, then

@@ -5,44 +5,39 @@ import (
 	"repro/internal/sketch"
 )
 
-// openRef is one live column whose cut refiner still needs gathered values.
-type openRef struct {
-	ref *sketch.Refiner
-	col int
-}
-
-// planRefineSkip plans a partial refinement pass from the source's per-block
+// planSkip plans a partial refinement pass from the source's per-block
 // statistics, when it has any (frame.SkippableSource — the colstore
-// readers). A chunk is skippable only when every open column's block proves,
-// via Refiner.SkipBucket, that all its non-NaN values land in one
+// readers). A chunk is skippable only when every gathered column's block
+// proves, via Refiner.SkipBucket, that all its non-NaN values land in one
 // below-bracket bucket and touch no gather bracket; the chunk's entire
 // effect on each refiner is then the exact integer fold
 // AddOutside(bucket, rows−NaNs), so the partial pass resolves the same
 // order statistics bit-for-bit as a full one.
 //
-// When any chunk is skippable the plan is installed on the source (SetSkip)
-// and accounted for (Stats.BlocksSkipped/RowsSkipped, f.passExpect for the
-// pass row validation); the returned cleanup restores full passes and must
-// run once the pass is done. done reports that every chunk was skippable —
-// the refiners are fully resolved from statistics and no pass need run.
-func (f *fitter) planRefineSkip(open []openRef) (cleanup func(), done bool) {
-	ss, ok := f.base.(frame.SkippableSource)
-	if !ok || f.n == 0 || len(open) == 0 {
-		return nil, false
+// The skipped chunks' contribution comes back as one Partial synthesized
+// from the statistics, to fold ahead of the streamed chunks (the gather fold
+// is order-invariant: skipped chunks add only integer counts). The plan is
+// installed on the source (SetSkip) and accounted in res; the returned
+// cleanup restores full passes and must run once the pass is done. done
+// reports that every chunk was skippable — the synthesized partial resolves
+// the pass and nothing need stream. A nil partial means nothing skips.
+func (e *localExec) planSkip(pg *passProgram, res *PassResult) (skipped *Partial, cleanup func(), done bool) {
+	ss, ok := e.base.(frame.SkippableSource)
+	if !ok || len(pg.refs) == 0 {
+		return nil, nil, false
 	}
 	nch := ss.NumChunks()
 	if nch <= 0 {
-		return nil, false
+		return nil, nil, false
 	}
 	type contrib struct {
-		open   int
+		target int
 		bucket int
 		n      int64
 	}
 	skip := make([]bool, nch)
 	var contribs []contrib
-	scratch := make([]contrib, 0, len(open))
-	skipped, skippedRows := 0, 0
+	scratch := make([]contrib, 0, len(pg.refs))
 	for ci := 0; ci < nch; ci++ {
 		st := ss.ChunkStats(ci)
 		if len(st) == 0 {
@@ -50,8 +45,8 @@ func (f *fitter) planRefineSkip(open []openRef) (cleanup func(), done bool) {
 		}
 		scratch = scratch[:0]
 		skippable := true
-		for oi, o := range open {
-			s := st[o.col]
+		for t, ref := range pg.refs {
+			s := st[pg.cols[t].base]
 			nn := int64(s.Rows - s.NaNs)
 			if nn == 0 {
 				continue // all missing: contributes nothing either way
@@ -60,44 +55,43 @@ func (f *fitter) planRefineSkip(open []openRef) (cleanup func(), done bool) {
 				skippable = false
 				break
 			}
-			bucket, ok := o.ref.SkipBucket(s.Min, s.Max)
+			bucket, ok := ref.SkipBucket(s.Min, s.Max)
 			if !ok {
 				skippable = false
 				break
 			}
-			scratch = append(scratch, contrib{open: oi, bucket: bucket, n: nn})
+			scratch = append(scratch, contrib{target: t, bucket: bucket, n: nn})
 		}
 		if !skippable {
 			continue
 		}
 		skip[ci] = true
-		skipped++
-		skippedRows += st[0].Rows
+		res.BlocksSkipped++
+		res.RowsSkipped += st[0].Rows
 		contribs = append(contribs, scratch...)
 	}
-	if skipped == 0 {
-		return nil, false
+	if res.BlocksSkipped == 0 {
+		return nil, nil, false
+	}
+	res.Parts += res.BlocksSkipped
+	skipped = &Partial{Chunk: -1, Gathers: make([]*sketch.Refiner, len(pg.refs))}
+	for t, ref := range pg.refs {
+		skipped.Gathers[t] = ref.Shadow()
 	}
 	for _, c := range contribs {
-		open[c.open].ref.AddOutside(c.bucket, c.n)
+		skipped.Gathers[c.target].AddOutside(c.bucket, c.n)
 	}
-	f.stats.BlocksSkipped += int64(skipped)
-	f.stats.RowsSkipped += int64(skippedRows)
-	if skipped == nch {
-		// Nothing left to stream: the statistics alone resolved every open
-		// bracket's below-count, and no bracket had gatherable values.
-		return nil, true
+	if res.BlocksSkipped == nch {
+		return skipped, nil, true
 	}
 	ss.SetSkip(skip)
-	f.passExpect = f.n - skippedRows
-	return func() {
+	return skipped, func() {
 		// An aborted pass can leave the prefetcher's reader mid-stream on the
 		// base source; stop it (restartable via Reset) before changing the
 		// plan under it.
-		if f.pf != nil {
-			f.pf.Close()
+		if e.pf != nil {
+			e.pf.Close()
 		}
 		ss.SetSkip(nil)
-		f.passExpect = 0
 	}, false
 }
